@@ -3,14 +3,13 @@
 Exit codes: 0 success, 2 parameter validation error, 3 numeric failure,
 4 statistical self-test failure.  All output is deterministic given the
 flags (plus the seed for ``simulate``); numeric fields carry 12 significant
-digits.  ENTMIX_THREADS overrides the worker count for grid scans.
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -18,10 +17,13 @@ import numpy as np
 
 from . import __version__
 from .entanglement import (
+    concurrence_raw,
     concurrence_xstate,
+    ef_from_concurrence,
     eisert_lower_bound,
     entanglement_of_formation,
     ef_max_asymptotic,
+    max_concurrence,
     optimize_prep,
     survival_threshold,
     survival_threshold_bisect,
@@ -53,7 +55,6 @@ class RunConfig:
     command: str
     params: dict
     out: str | None = None
-    fmt: str = "json"
 
     def as_dict(self) -> dict:
         return {"command": self.command, **self.params}
@@ -137,36 +138,23 @@ def _cmd_fig2(args) -> int:
     if unknown or not curves:
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
     curves = [c for c in _FIG2_CURVES if c in curves]
-    config = RunConfig(
-        "fig2", {"s_step": args.s_step, "curves": curves}, args.out, fmt="csv"
-    )
+    config = RunConfig("fig2", {"s_step": args.s_step, "curves": curves}, args.out)
     s_vals = np.linspace(args.s_step, 1.0, n)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    values = {
+        "max": ef_from_concurrence(max_concurrence(s_vals)),
+        "asymptotic": ef_max_asymptotic(s_vals),
+        "bell": ef_from_concurrence(np.clip(concurrence_raw(1.0 / np.sqrt(2.0), s_vals), 0.0, None)),
+        "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
+    }
     header = ["S"] + [_FIG2_COLUMNS[c] for c in curves]
-    rows = []
-    for s in s_vals:
-        row = [_fmt_num(s)]
-        for curve in curves:
-            if curve == "max":
-                val = optimize_prep(float(s)).ef_max
-            elif curve == "asymptotic":
-                val = ef_max_asymptotic(float(s))
-            elif curve == "bell":
-                val = entanglement_of_formation(concurrence_xstate(PrepParams(inv_sqrt2, float(s))))
-            else:
-                val = entanglement_of_formation(concurrence_xstate(PrepParams(0.1, float(s))))
-            row.append(_fmt_num(val))
-        rows.append(row)
-    _emit_csv(config, header, rows)
+    columns = [s_vals] + [values[c] for c in curves]
+    _emit_csv(config, header, ([_fmt_num(x) for x in row] for row in zip(*columns)))
     return 0
 
 
 def _cmd_fig3(args) -> int:
-    workers = int(os.environ.get("ENTMIX_THREADS", "1"))
-    config = RunConfig(
-        "fig3", {"a_points": args.a_points, "s_points": args.s_points}, args.out, fmt="csv"
-    )
-    grid = region_scan(args.a_points, args.s_points, workers=workers)
+    config = RunConfig("fig3", {"a_points": args.a_points, "s_points": args.s_points}, args.out)
+    grid = region_scan(args.a_points, args.s_points)
     header = ["a", "S", "EF", "entangled", "chsh", "lhvt"]
     rows = []
     for i, a in enumerate(grid.a):
@@ -220,32 +208,27 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--eisert requires --n")
     params = {}
     payload = {}
-    if args.survival:
-        params["a"] = args.a
-        analytic = survival_threshold(args.a)
-        payload["survival"] = {
-            "a": args.a,
-            "threshold": analytic,
-            "method": "analytic",
-            "bisection_delta": abs(analytic - survival_threshold_bisect(args.a)),
-        }
-    if args.chsh:
-        params["a"] = args.a
-        analytic = chsh_boundary(args.a)
-        payload["chsh"] = {
-            "a": args.a,
-            "threshold": analytic,
-            "method": "analytic",
-            "bisection_delta": abs(analytic - chsh_boundary_bisect(args.a)),
-        }
+    for name, wanted, analytic_fn, bisect_fn in (
+        ("survival", args.survival, survival_threshold, survival_threshold_bisect),
+        ("chsh", args.chsh, chsh_boundary, chsh_boundary_bisect),
+    ):
+        if wanted:
+            params["a"] = args.a
+            analytic = analytic_fn(args.a)
+            payload[name] = {
+                "a": args.a,
+                "threshold": analytic,
+                "method": "analytic",
+                "bisection_delta": abs(analytic - bisect_fn(args.a)),
+            }
     if args.eisert:
         params["n"] = args.n
-        opt = optimize_prep(1.0 / args.n)
+        lower_bound = eisert_lower_bound(args.n)   # rejects n < 2 before 1/n is formed
         payload["eisert"] = {
             "n": args.n,
             "s": 1.0 / args.n,
-            "ef_max": opt.ef_max,
-            "lower_bound": eisert_lower_bound(args.n),
+            "ef_max": optimize_prep(1.0 / args.n).ef_max,
+            "lower_bound": lower_bound,
         }
     config = RunConfig("bounds", params, args.out)
     _emit_json(config, payload)

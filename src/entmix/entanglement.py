@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, eig_hermitian, mat_sqrt_psd, tensor
+from .linalg import eig_hermitian, mat_sqrt_psd, tensor
 from .mixing import xstate_fields
 from .states import PrepParams, pauli, validate
 
@@ -54,8 +54,6 @@ def wootters_spectrum(rho) -> WoottersSpectrum:
     root = mat_sqrt_psd(m)
     prod = root @ spin_flip(m) @ root
     w = eig_hermitian((prod + prod.conj().T) / 2).eigenvalues
-    if w[-1] < -PSD_CLAMP:
-        w = np.maximum(w, 0.0)
     lam = np.sqrt(np.clip(w, 0.0, None))
     return WoottersSpectrum(lambdas=tuple(float(x) for x in lam))
 
@@ -73,6 +71,11 @@ def concurrence_raw(a, s):
     because root finders and optimizers need the sign.
     """
     d1, d2, d3, d4, t = xstate_fields(a, s)
+    return _concurrence_of_fields(d2, d3, t)
+
+
+def _concurrence_of_fields(d2, d3, t):
+    # X-state concurrence 2 (t - sqrt(d2 d3)) for a coherence t >= 0, unclamped
     return 2.0 * (t - np.sqrt(d2 * d3))
 
 
@@ -137,91 +140,37 @@ def _a_from_w(w: float) -> float:
     return math.sqrt(2.0 * w * w / (1.0 + math.sqrt(disc)))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = hi - lo
-    c = lo + invphi2 * h
-    d = lo + invphi * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = lo + invphi2 * h
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + invphi * h
-            fd = f(d)
-    return lo, hi
+def max_concurrence(s):
+    """Largest delivered concurrence over all preparations; broadcasts.
+
+    Over w = a sqrt(1 - a^2) in [0, 1/2] the concurrence 2(s w - (1 - s) w^2)
+    peaks at w* = s / (2 (1 - s)) below s = 1/2, giving s^2 / (2 (1 - s)),
+    and at the edge w* = 1/2 from s = 1/2 on, giving (3 s - 1) / 2.
+    """
+    s = np.asarray(s, dtype=float)
+    # the minimum keeps the unused branch from dividing by zero at s = 1
+    return np.where(s < 0.5, s * s / (2.0 * (1.0 - np.minimum(s, 0.5))), (3.0 * s - 1.0) / 2.0)
 
 
-def _parabolic_vertex(f, center: float, lo: float, hi: float, h: float) -> float | None:
-    # one quadratic-interpolation step through three equally spaced samples
-    w1 = max(lo, center - h)
-    w3 = min(hi, center + h)
-    if w3 - w1 < h:
-        if w1 <= lo:
-            w3 = min(hi, lo + 2.0 * h)
-        else:
-            w1 = max(lo, hi - 2.0 * h)
-    w2 = 0.5 * (w1 + w3)
-    g1, g2, g3 = f(w1), f(w2), f(w3)
-    den = 2.0 * g2 - g1 - g3
-    if not (np.isfinite(den) and den > 0.0):
-        return None
-    vertex = w2 + 0.25 * (w3 - w1) * (g3 - g1) / den
-    if not np.isfinite(vertex):
-        return None
-    return min(max(vertex, lo), hi)
+def optimize_prep(s: float) -> OptimalPrep:
+    """Best preparation amplitude for success probability s, in closed form.
 
-
-def optimize_prep(s: float, grid_resolution: int = 4097) -> OptimalPrep:
-    """Maximize the delivered concurrence over the preparation amplitude.
-
-    The search runs over w = a sqrt(1 - a^2) in [0, 1/2], a monotone
-    reparametrization of a in [0, 1/sqrt(2)] (the symmetric half of the
-    domain) in which the objective 2(s w - (1 - s) w^2) is well conditioned
-    near its maximum: a coarse grid scan, then golden-section refinement,
-    then one quadratic-interpolation polish.  Grid ties resolve to the
-    smaller amplitude.  The exact argmax is w* = s / (2 (1 - s)) below
-    s = 1/2, so a* = a(w*) with a^2 = 2 w*^2 / (1 + sqrt(1 - 4 w*^2)) there
-    (tending to s/2 as s -> 0, from above by a relative s / (1 - s)), and
-    a* = 1/sqrt(2) from s = 1/2 on.
+    The optimum w* of max_concurrence is inverted on the symmetric half
+    a in [0, 1/sqrt(2)] of the domain: a* = a(w*) with
+    a^2 = 2 w*^2 / (1 + sqrt(1 - 4 w*^2)).  It tends to s/2 as s -> 0, from
+    above by a relative s / (1 - s), and equals 1/sqrt(2) from s = 1/2 on.
     """
     if not (np.isfinite(s) and 0.0 <= s <= 1.0):
         raise ValueError(f"success probability s must be in [0, 1], got {s}")
-    if grid_resolution < 3:
-        raise ValueError(f"grid_resolution must be at least 3, got {grid_resolution}")
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
-
-    def objective(w):
-        return 2.0 * (s * w - (1.0 - s) * w * w)
-
-    grid = np.linspace(0.0, 0.5, grid_resolution)
-    i = int(np.argmax(objective(grid)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_resolution - 1)]
-    glo, ghi = _golden_max(objective, lo, hi, tol=1e-10)
-    w_best = 0.5 * (glo + ghi)
-    f_best = objective(w_best)
-    polish = _parabolic_vertex(objective, w_best, 0.0, 0.5, h=1.0 / 64.0)
-    candidates = [polish] if polish is not None else []
-    candidates += [0.5, 0.0]
-    for w in candidates:
-        fw = objective(w)
-        if fw >= f_best:
-            w_best, f_best = w, fw
-    a_star = _a_from_w(w_best)
-    c_max = max(0.0, float(f_best))
+    a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)
+    c_max = float(max_concurrence(s))
     return OptimalPrep(s=s, a_star=a_star, c_max=c_max, ef_max=entanglement_of_formation(c_max))
 
 
-def ef_max_asymptotic(s: float) -> float:
-    """Small-s closed form for the best achievable entanglement of formation.
+def ef_max_asymptotic(s):
+    """Small-s closed form for the best achievable entanglement of formation; broadcasts.
 
     (s^4 / 4) [log2(1/s) + 1 + 1/(4 ln 2)]; a leading-order expression, only
     meaningful for s well below 1/2.  It is the leading small-C term of E_F at
@@ -230,9 +179,10 @@ def ef_max_asymptotic(s: float) -> float:
     optimum obeys (1 - s)^2 <= asymptote / optimum <= 1, up to a relative
     O(C*^2 log(1/C*)) correction; the gap to 1 is about 2 s.
     """
-    if not (np.isfinite(s) and 0.0 < s <= 1.0):
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s) & (s > 0.0) & (s <= 1.0)):
         raise ValueError(f"success probability s must be in (0, 1], got {s}")
-    return s**4 / 4.0 * (math.log2(1.0 / s) + 1.0 + 1.0 / (4.0 * math.log(2.0)))
+    return s**4 / 4.0 * (np.log2(1.0 / s) + 1.0 + 1.0 / (4.0 * math.log(2.0)))
 
 
 def eisert_lower_bound(n: int) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 # Shared tolerance constants.
 HERM_TOL = 1e-9     # max |m - m^dag| accepted as Hermitian
 RECON_TOL = 1e-10   # eigendecomposition reconstruction residual
-PSD_CLAMP = 1e-10   # round-off eigenvalues above -PSD_CLAMP are treated as 0
 PSD_TOL = 1e-8      # eigenvalues below -PSD_TOL are a genuine PSD violation
 
 

@@ -9,13 +9,11 @@ mixing weight (0 < c < 1, with |c - 1| <= 1e-12 flagged as degenerate).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_raw, ef_from_concurrence
+from .entanglement import _concurrence_of_fields, concurrence_raw, ef_from_concurrence
 from .mixing import apply_map, mapped_xstate, xstate_fields
 from .states import PrepParams, pauli, psi_a, validate
 
@@ -54,6 +52,13 @@ def horodecki_m(rho) -> float:
 def chsh_value(rho) -> float:
     """Largest CHSH expectation reachable with optimal measurement settings."""
     return 2.0 * np.sqrt(horodecki_m(rho))
+
+
+def _horodecki_m_xstate(d1, d2, d3, d4, t):
+    # T = diag(2t, -2t, d1 - d2 - d3 + d4) for the x state; broadcasts
+    tzz = d1 - d2 - d3 + d4
+    x = 4.0 * t * t
+    return x + np.maximum(x, tzz * tzz)
 
 
 def chsh_boundary(a: float) -> float:
@@ -100,6 +105,16 @@ class LhvtWitness:
     boundary_degenerate: bool = False
 
 
+def _witness_weight(t):
+    # the single c that matches the corner coherence t; broadcasts
+    return t / WITNESS_CORNER
+
+
+def _witness_remainder(d, b, c):
+    # diagonal entry left after removing c * (witness entry b); broadcasts
+    return (d - c * b) / (1.0 - c)
+
+
 def lhvt_decompose(p: PrepParams) -> LhvtWitness:
     """Match the corner coherence to fix c, then check the leftover diagonal.
 
@@ -108,28 +123,20 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
     remainder (d - c b) / (1 - c) must be entrywise non-negative.
     """
     x = mapped_xstate(p)
-    c = x.t / WITNESS_CORNER
-    b = WITNESS_DIAG
-    if abs(c - 1.0) <= DEGENERATE_TOL:
-        return LhvtWitness(
-            c=float(c),
-            sep_diag=(np.nan,) * 4,
-            feasible=False,
-            violated_constraints=("c_range",),
-            boundary_degenerate=True,
-        )
-    sep = tuple(float((x.d[i] - c * b[i]) / (1.0 - c)) for i in range(4))
-    violated = []
-    if not 0.0 < c < 1.0:
-        violated.append("c_range")
-    for i, v in enumerate(sep):
-        if v < -SEP_TOL:
-            violated.append(f"d{i + 1}_nonneg")
+    c = _witness_weight(x.t)
+    degenerate = abs(c - 1.0) <= DEGENERATE_TOL
+    if degenerate:
+        sep = (np.nan,) * 4
+    else:
+        sep = tuple(float(_witness_remainder(d, b, c)) for d, b in zip(x.d, WITNESS_DIAG))
+    violated = [] if 0.0 < c < 1.0 and not degenerate else ["c_range"]
+    violated += [f"d{i + 1}_nonneg" for i, v in enumerate(sep) if v < -SEP_TOL]
     return LhvtWitness(
         c=float(c),
         sep_diag=sep,
         feasible=not violated,
         violated_constraints=tuple(violated),
+        boundary_degenerate=degenerate,
     )
 
 
@@ -155,50 +162,25 @@ class RegionMap:
     lhvt: np.ndarray
 
 
-def _scan_rows(a_vals: np.ndarray, s_vals: np.ndarray):
-    a = a_vals[:, None]
-    s = s_vals[None, :]
-    d1, d2, d3, d4, t = xstate_fields(a, s)
-    c_raw = 2.0 * (t - np.sqrt(d2 * d3))
-    entangled = c_raw > 0.0
-    ef = ef_from_concurrence(np.clip(c_raw, 0.0, None))
-    tzz = d1 - d2 - d3 + d4
-    x = 4.0 * t * t
-    m = x + np.maximum(x, tzz * tzz)
-    chsh = m > 1.0
-    c = t / WITNESS_CORNER
-    b = np.asarray(WITNESS_DIAG)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = 1.0 - c
-        feasible = (c > 0.0) & (denom > DEGENERATE_TOL)
-        for i, di in enumerate((d1, d2, d3, d4)):
-            feasible &= np.where(denom != 0.0, (di - c * b[i]) / denom, -1.0) >= -SEP_TOL
-    lhvt = feasible & entangled
-    return ef, entangled, chsh, lhvt
-
-
-def region_scan(a_points: int, s_points: int, workers: int | None = None) -> RegionMap:
+def region_scan(a_points: int, s_points: int) -> RegionMap:
     """Classify a uniform interior grid of the (a, s) unit square.
 
-    Rows (fixed a) are computed independently and may be spread over
-    ``workers`` threads (default: the ENTMIX_THREADS environment variable,
-    else 1); assembly order is fixed by the grid regardless of scheduling.
+    Each flag uses the same closed forms, and the same boundary conventions,
+    as the scalar functions: entangled as concurrence_xstate > 0, chsh as
+    M > 1, lhvt as lhvt_region.
     """
     if a_points < 2 or s_points < 2:
         raise ValueError(f"grid must be at least 2x2, got {a_points}x{s_points}")
     a_vals = np.linspace(0.0, 1.0, a_points + 2)[1:-1]
     s_vals = np.linspace(0.0, 1.0, s_points + 2)[1:-1]
-    if workers is None:
-        workers = int(os.environ.get("ENTMIX_THREADS", "1"))
-    workers = max(1, workers)
-    if workers == 1:
-        ef, entangled, chsh, lhvt = _scan_rows(a_vals, s_vals)
-    else:
-        chunks = np.array_split(np.arange(a_vals.size), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda idx: _scan_rows(a_vals[idx], s_vals), chunks))
-        ef = np.vstack([p[0] for p in parts])
-        entangled = np.vstack([p[1] for p in parts])
-        chsh = np.vstack([p[2] for p in parts])
-        lhvt = np.vstack([p[3] for p in parts])
+    d1, d2, d3, d4, t = xstate_fields(a_vals[:, None], s_vals[None, :])
+    c_raw = _concurrence_of_fields(d2, d3, t)
+    entangled = c_raw > 0.0
+    ef = ef_from_concurrence(np.clip(c_raw, 0.0, None))
+    chsh = _horodecki_m_xstate(d1, d2, d3, d4, t) > 1.0
+    c = _witness_weight(t)
+    lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
+            lhvt &= _witness_remainder(d, b, c) >= -SEP_TOL
     return RegionMap(a=a_vals, s=s_vals, ef=ef, entangled=entangled, chsh=chsh, lhvt=lhvt)

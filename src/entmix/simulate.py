@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import _concurrence_of_fields
 from .linalg import as_matrix
 from .mixing import apply_map
 from .states import psi_a
@@ -66,7 +67,7 @@ class DeliveryModel:
     def effective_s(self) -> float:
         if self.kind == "bernoulli":
             return float(self.s)
-        return 1.0 / float(self.n)
+        return permutation_effective_s(self.n)
 
 
 def permutation_effective_s(n: int) -> float:
@@ -235,7 +236,7 @@ def estimate_concurrence(report: SimReport) -> tuple[float, float]:
     eyy = float(report.freq[idx["yy"]] @ sign)
     t_est = (exx - eyy) / 4.0
     d2, d3 = max(d[1], 0.0), max(d[2], 0.0)
-    c_est = 2.0 * (t_est - np.sqrt(d2 * d3))
+    c_est = _concurrence_of_fields(d2, d3, t_est)
 
     var_t = ((1.0 - exx**2) + (1.0 - eyy**2)) / (16.0 * n)
     if d2 > 0.0 and d3 > 0.0:

@@ -94,7 +94,7 @@ def test_criterion_04_always_distributable():
 def test_criterion_05_optimal_preparation():
     t0 = time.monotonic()
     checks = []
-    for s in (0.001, 0.01, 0.05):
+    for s in (0.001, 0.01, 0.05, 0.4999, 0.49999988811789187):
         opt = optimize_prep(s)
         # derived argmax of 2(s w - (1-s) w^2) over w = a sqrt(1-a^2), inverted
         # for the amplitude; s/2 is only its s -> 0 limit (off by s/(1-s))

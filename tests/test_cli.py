@@ -73,6 +73,18 @@ def test_bounds_eisert(capsys):
     assert abs(doc["eisert"]["lower_bound"] - 2 * doc["eisert"]["ef_max"]) < 1e-9
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_bounds_eisert_rejects_small_n(n):
+    proc = subprocess.run(
+        [sys.executable, "-m", "entmix.cli", "bounds", "--eisert", "--n", n],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"n must be an integer >= 2, got {n}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bounds_requires_a_query(capsys):
     rc, _ = run_cli(capsys, "bounds", "--a", "0.5")
     assert rc == 2
@@ -133,13 +145,6 @@ def test_fig3_stdout_matches_file(capsys, tmp_path):
                      "--out", str(out_file))
     assert rc == rc2 == 0
     assert out == out_file.read_text()
-
-
-def test_fig3_thread_count_does_not_change_output(capsys, monkeypatch):
-    _, base = run_cli(capsys, "fig3", "--a-points", "8", "--s-points", "8")
-    monkeypatch.setenv("ENTMIX_THREADS", "4")
-    _, threaded = run_cli(capsys, "fig3", "--a-points", "8", "--s-points", "8")
-    assert base == threaded
 
 
 def test_simulate_json_report(capsys):

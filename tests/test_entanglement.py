@@ -10,6 +10,7 @@ from entmix.entanglement import (
     ef_max_asymptotic,
     eisert_lower_bound,
     entanglement_of_formation,
+    max_concurrence,
     optimize_prep,
     survival_threshold,
     survival_threshold_bisect,
@@ -200,10 +201,20 @@ def test_optimizer_degenerate_s_zero():
 
 
 def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        optimize_prep(1.2)
-    with pytest.raises(ValueError):
-        optimize_prep(0.5, grid_resolution=2)
+    for s in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            optimize_prep(s)
+
+
+def test_max_concurrence_is_the_optimizer_value():
+    # the broadcasting form fig2 uses and the scalar optimum agree bit for bit,
+    # and s = 1 divides by nothing
+    s = np.concatenate([np.linspace(0.0, 1.0, 2001), [0.49999988811789187, 0.4999]])
+    with np.errstate(all="raise"):
+        vec = max_concurrence(s)
+    assert np.array_equal(vec, [optimize_prep(float(x)).c_max for x in s])
+    assert max_concurrence(1.0) == 1.0
+    assert max_concurrence(0.5) == 0.25
 
 
 def test_small_s_concurrence_law():

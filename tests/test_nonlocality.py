@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entmix.entanglement import concurrence_xstate
+from entmix.entanglement import concurrence_xstate, entanglement_of_formation
 from entmix.mixing import apply_map, mapped_state
 from entmix.nonlocality import (
     WITNESS_DIAG,
@@ -174,18 +174,23 @@ def test_region_scan_classification():
 
 
 def test_region_scan_matches_scalar_predicates():
-    grid = region_scan(15, 15)
-    for i, a in enumerate(grid.a):
-        for j, s in enumerate(grid.s):
-            assert bool(grid.lhvt[i, j]) == lhvt_region(PrepParams(a, s))
-
-
-def test_region_scan_thread_determinism():
-    base = region_scan(40, 40, workers=1)
-    threaded = region_scan(40, 40, workers=3)
-    assert np.array_equal(base.ef, threaded.ef)
-    assert np.array_equal(base.lhvt, threaded.lhvt)
-    assert np.array_equal(base.chsh, threaded.chsh)
+    # every cell of the default fig3 grid: the grid flags and E_F are the
+    # scalar functions' values, E_F bit for bit
+    grid = region_scan(200, 200)
+    mismatches = []
+    for i, a in enumerate(grid.a.tolist()):
+        for j, s in enumerate(grid.s.tolist()):
+            p = PrepParams(a, s)
+            c = concurrence_xstate(p)
+            for name, got, want in (
+                ("lhvt", bool(grid.lhvt[i, j]), lhvt_region(p)),
+                ("entangled", bool(grid.entangled[i, j]), c > 0),
+                ("ef", float(grid.ef[i, j]), entanglement_of_formation(c)),
+            ):
+                if got != want:
+                    mismatches.append(f"{name} at (i={i}, j={j}, a={a!r}, s={s!r}): "
+                                      f"grid {got!r}, scalar {want!r}")
+    assert not mismatches, "; ".join(mismatches[:5])
 
 
 def test_two_witness_constraints_never_bind():
