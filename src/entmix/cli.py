@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,6 @@ class RunConfig:
         return {"command": self.command, **self.params}
 
 
-def _fmt_num(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _round12(obj):
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
@@ -75,28 +72,25 @@ def _round12(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return x if not np.isfinite(x) else float(_fmt_num(x))
+        return x if not np.isfinite(x) else float(format(x, ".12g"))
     return obj
 
 
-def _write(text: str, out: str | None) -> None:
+@contextmanager
+def _sink(out: str | None):
+    """The document's destination: stdout, or the --out file, open for the with block."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _emit_json(config: RunConfig, payload: dict) -> None:
     doc = {"version": __version__, "config": config.as_dict()}
     doc.update(payload)
-    _write(json.dumps(_round12(doc), indent=2) + "\n", config.out)
-
-
-def _emit_csv(config: RunConfig, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    _write("\n".join(lines) + "\n", config.out)
+    with _sink(config.out) as fh:
+        fh.write(json.dumps(_round12(doc), indent=2) + "\n")
 
 
 def _cmd_state(args) -> int:
@@ -147,29 +141,27 @@ def _cmd_fig2(args) -> int:
         "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
     }
     header = ["S"] + [_FIG2_COLUMNS[c] for c in curves]
-    columns = [s_vals] + [values[c] for c in curves]
-    _emit_csv(config, header, ([_fmt_num(x) for x in row] for row in zip(*columns)))
+    columns = [s_vals.tolist()] + [values[c].tolist() for c in curves]
+    with _sink(config.out) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([format(x, ".12g") for x in row]) + "\n" for row in zip(*columns))
     return 0
 
 
 def _cmd_fig3(args) -> int:
     config = RunConfig("fig3", {"a_points": args.a_points, "s_points": args.s_points}, args.out)
-    grid = region_scan(args.a_points, args.s_points)
-    header = ["a", "S", "EF", "entangled", "chsh", "lhvt"]
-    rows = []
-    for i, a in enumerate(grid.a):
-        for j, s in enumerate(grid.s):
-            rows.append(
-                [
-                    _fmt_num(a),
-                    _fmt_num(s),
-                    _fmt_num(grid.ef[i, j]),
-                    str(int(grid.entangled[i, j])),
-                    str(int(grid.chsh[i, j])),
-                    str(int(grid.lhvt[i, j])),
-                ]
-            )
-    _emit_csv(config, header, rows)
+    grid = region_scan(args.a_points, args.s_points)   # validates before --out is opened
+    # one write per grid row keeps memory beyond the scan's arrays to one row;
+    # flags[k] is the flag triple for k = entangled<<2 | chsh<<1 | lhvt
+    s_cols = ["," + format(s, ".12g") + "," for s in grid.s.tolist()]
+    flags = [f",{e},{c},{h}\n" for e in "01" for c in "01" for h in "01"]
+    code = (grid.entangled.astype(np.uint8) << 2) | (grid.chsh.astype(np.uint8) << 1) | grid.lhvt
+    with _sink(config.out) as fh:
+        fh.write("a,S,EF,entangled,chsh,lhvt\n")
+        for a, ef_row, code_row in zip(grid.a.tolist(), grid.ef, code):
+            a_col = format(a, ".12g")
+            fh.write("".join([f"{a_col}{s_col}{ef:.12g}{flags[k]}"
+                              for s_col, ef, k in zip(s_cols, ef_row.tolist(), code_row.tolist())]))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _concurrence_of_fields, concurrence_raw, ef_from_concurrence
+from .entanglement import _concurrence_of_fields, ef_from_concurrence
 from .mixing import apply_map, mapped_xstate, xstate_fields
 from .states import PrepParams, pauli, psi_a, validate
 
@@ -140,11 +140,20 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
     )
 
 
+def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
+    # lhvt_decompose(...).feasible on entangled cells, from the fields; broadcasts
+    c = _witness_weight(t)
+    lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
+            lhvt &= _witness_remainder(d, b, c) >= -SEP_TOL
+    return lhvt
+
+
 def lhvt_region(p: PrepParams) -> bool:
     """True where the witness decomposition exists and entanglement survives."""
-    if concurrence_raw(p.a, p.s) <= 0.0:
-        return False
-    return lhvt_decompose(p).feasible
+    d1, d2, d3, d4, t = xstate_fields(p.a, p.s)
+    return bool(_lhvt_of_fields(d1, d2, d3, d4, t, _concurrence_of_fields(d2, d3, t) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,5 @@ def region_scan(a_points: int, s_points: int) -> RegionMap:
     entangled = c_raw > 0.0
     ef = ef_from_concurrence(np.clip(c_raw, 0.0, None))
     chsh = _horodecki_m_xstate(d1, d2, d3, d4, t) > 1.0
-    c = _witness_weight(t)
-    lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
-            lhvt &= _witness_remainder(d, b, c) >= -SEP_TOL
+    lhvt = _lhvt_of_fields(d1, d2, d3, d4, t, entangled)
     return RegionMap(a=a_vals, s=s_vals, ef=ef, entangled=entangled, chsh=chsh, lhvt=lhvt)

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import entmix.cli as cli
+from entmix.nonlocality import region_scan
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,59 @@ def test_fig3_stdout_matches_file(capsys, tmp_path):
                      "--out", str(out_file))
     assert rc == rc2 == 0
     assert out == out_file.read_text()
+
+
+def fig3_reference(a_points, s_points):
+    # the document cell by cell: one format call per number, str(int(flag)) per flag
+    grid = region_scan(a_points, s_points)
+    lines = ["a,S,EF,entangled,chsh,lhvt"]
+    for i, a in enumerate(grid.a):
+        for j, s in enumerate(grid.s):
+            cells = [format(float(x), ".12g") for x in (a, s, grid.ef[i, j])]
+            cells += [str(int(flag[i, j])) for flag in (grid.entangled, grid.chsh, grid.lhvt)]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("a_points, s_points", [(37, 23), (2, 2)])
+def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, a_points, s_points):
+    # a non-square grid catches swapped a and S axes
+    want = fig3_reference(a_points, s_points).encode()
+    argv = ["fig3", "--a-points", str(a_points), "--s-points", str(s_points)]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.encode() == want
+    out_file = tmp_path / "fig3.csv"
+    rc, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert rc == 0
+    assert out_file.read_bytes() == want
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fig3_memory_beyond_the_scan_is_one_row(tmp_path):
+    # the document (about 7 MB here) is written row by row, never held whole
+    out_file = str(tmp_path / "fig3.csv")
+    scan_peak = traced_peak(lambda: region_scan(400, 400))
+    fig3_peak = traced_peak(
+        lambda: cli.main(["fig3", "--a-points", "400", "--s-points", "400", "--out", out_file]))
+    assert fig3_peak <= 1.5 * scan_peak, (fig3_peak, scan_peak)
+
+
+def test_fig3_validates_grid_before_opening_out(capsys, tmp_path):
+    out_file = tmp_path / "kept.csv"
+    out_file.write_bytes(b"a,S\n0.5,0.5\n")
+    rc = cli.main(["fig3", "--a-points", "1", "--out", str(out_file)])
+    assert rc == 2
+    assert "grid must be at least 2x2" in capsys.readouterr().err
+    assert out_file.read_bytes() == b"a,S\n0.5,0.5\n"
 
 
 def test_simulate_json_report(capsys):
