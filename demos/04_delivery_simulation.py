@@ -1,10 +1,14 @@
 """Monte Carlo check that the mixing map is the right state of knowledge.
 
-The simulator never uses the map: each trial physically plays out a delivery
-(intact with probability s, or a uniform shipment permutation for the
-permutation model) and measures the pair in one of the nine Pauli-pair bases.
-If the map is the correct description, observed frequencies must match its
-predicted probabilities within binomial error in every cell.
+The simulator never uses the map.  For each of the nine Pauli-pair bases it
+draws how many of the deliveries arrive intact (binomial, with probability s,
+or 1/n for a uniform shipment permutation among n pairs), then the outcomes
+of the intact pairs from the prepared pure state and those of the broken
+pairs from its two marginals independently (multinomial).  Trials are
+independent, so these counts have exactly the distribution of playing out
+every delivery one by one, at a cost that does not depend on the number of
+trials.  If the map is the correct description, observed frequencies must
+match its predicted probabilities within binomial error in every cell.
 """
 
 import numpy as np

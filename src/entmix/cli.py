@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +48,6 @@ _FIG2_COLUMNS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Echo of one CLI invocation: subcommand, validated parameters, output sink."""
-
-    command: str
-    params: dict
-    out: str | None = None
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, **self.params}
-
-
 def _round12(obj):
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
@@ -86,22 +73,24 @@ def _sink(out: str | None):
             yield fh
 
 
-def _emit_json(config: RunConfig, payload: dict) -> None:
-    doc = {"version": __version__, "config": config.as_dict()}
+def _emit_json(command: str, params: dict, out: str | None, payload: dict) -> None:
+    """Write one JSON document: version, the run's config echo, then the payload."""
+    doc = {"version": __version__, "config": {"command": command, **params}}
     doc.update(payload)
-    with _sink(config.out) as fh:
+    with _sink(out) as fh:
         fh.write(json.dumps(_round12(doc), indent=2) + "\n")
 
 
 def _cmd_state(args) -> int:
     p = PrepParams(a=args.a, s=args.s)
-    config = RunConfig("state", {"a": args.a, "s": args.s}, args.out)
     rho = mapped_state(p)
     x = mapped_xstate(p)
     c = concurrence_xstate(p)
     witness = lhvt_decompose(p)
     _emit_json(
-        config,
+        "state",
+        {"a": args.a, "s": args.s},
+        args.out,
         {
             "matrix": {"real": rho.real.tolist(), "imag": rho.imag.tolist()},
             "xstate": {"d": list(x.d), "t": x.t},
@@ -132,31 +121,33 @@ def _cmd_fig2(args) -> int:
     if unknown or not curves:
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
     curves = [c for c in _FIG2_CURVES if c in curves]
-    config = RunConfig("fig2", {"s_step": args.s_step, "curves": curves}, args.out)
     s_vals = np.linspace(args.s_step, 1.0, n)
+    c_max = max_concurrence(s_vals)
+    # Bell pairs are the optimum from S = 1/2 on.  Below it, (S - 1/2) + S/2 is
+    # (3S - 1)/2 with one rounding; fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
+    c_bell = np.where(s_vals < 0.5, np.clip((s_vals - 0.5) + s_vals / 2.0, 0.0, None), c_max)
     values = {
-        "max": ef_from_concurrence(max_concurrence(s_vals)),
+        "max": ef_from_concurrence(c_max),
         "asymptotic": ef_max_asymptotic(s_vals),
-        "bell": ef_from_concurrence(np.clip(concurrence_raw(1.0 / np.sqrt(2.0), s_vals), 0.0, None)),
+        "bell": ef_from_concurrence(c_bell),
         "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
     }
     header = ["S"] + [_FIG2_COLUMNS[c] for c in curves]
     columns = [s_vals.tolist()] + [values[c].tolist() for c in curves]
-    with _sink(config.out) as fh:
+    with _sink(args.out) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join([format(x, ".12g") for x in row]) + "\n" for row in zip(*columns))
     return 0
 
 
 def _cmd_fig3(args) -> int:
-    config = RunConfig("fig3", {"a_points": args.a_points, "s_points": args.s_points}, args.out)
     grid = region_scan(args.a_points, args.s_points)   # validates before --out is opened
     # one write per grid row keeps memory beyond the scan's arrays to one row;
     # flags[k] is the flag triple for k = entangled<<2 | chsh<<1 | lhvt
     s_cols = ["," + format(s, ".12g") + "," for s in grid.s.tolist()]
     flags = [f",{e},{c},{h}\n" for e in "01" for c in "01" for h in "01"]
     code = (grid.entangled.astype(np.uint8) << 2) | (grid.chsh.astype(np.uint8) << 1) | grid.lhvt
-    with _sink(config.out) as fh:
+    with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
         for a, ef_row, code_row in zip(grid.a.tolist(), grid.ef, code):
             a_col = format(a, ".12g")
@@ -178,13 +169,14 @@ def _cmd_simulate(args) -> int:
         params = {"model": "permutation", "n": args.n}
     params.update({"a": args.a, "trials": args.trials, "seed": args.seed,
                    "self_test": args.self_test})
-    config = RunConfig("simulate", params, args.out)
     report = simulate_pair_state(model, a=args.a, trials=args.trials, seed=args.seed)
-    _emit_json(config, {"report": report.to_dict(),
-                        "sigma_threshold": SIGMA_THRESHOLD})
+    _emit_json("simulate", params, args.out, {"report": report.to_dict(),
+                                               "sigma_threshold": SIGMA_THRESHOLD})
     if args.self_test and not report.max_sigma <= SIGMA_THRESHOLD:
+        k, o = np.unravel_index(np.argmax(report.sigma), report.sigma.shape)
         print(
-            f"self-test failed: max_sigma = {report.max_sigma:.3f} > {SIGMA_THRESHOLD}",
+            f"self-test failed: max_sigma = {report.max_sigma:.3f} > {SIGMA_THRESHOLD}"
+            f" at setting {report.basis_settings[k]}, outcome {report.outcome_labels[o]}",
             file=sys.stderr,
         )
         return 4
@@ -222,8 +214,7 @@ def _cmd_bounds(args) -> int:
             "ef_max": optimize_prep(1.0 / args.n).ef_max,
             "lower_bound": lower_bound,
         }
-    config = RunConfig("bounds", params, args.out)
-    _emit_json(config, payload)
+    _emit_json("bounds", params, args.out, payload)
     return 0
 
 

@@ -4,10 +4,17 @@ Each trial ships one prepared pair to a focal customer pair.  Under the
 ``bernoulli`` model the pair arrives intact with probability s; under the
 ``permutation`` model the A-side shipments of n customer pairs are permuted
 uniformly at random and the focal pair is intact iff its own index is a fixed
-point (probability exactly 1/n).  Intact trials are measured on the prepared
-pure state; broken trials draw the two sides independently from the state's
-marginals.  Reported frequencies are held against the probabilities the
-mixing map predicts.
+point (probability exactly 1/n: the first step of a Fisher-Yates shuffle
+settles position 0 with one uniform draw).  Intact trials are measured on the
+prepared pure state; broken trials draw the two sides independently from the
+state's marginals.  Reported frequencies are held against the probabilities
+the mixing map predicts.
+
+Trials are independent and identically distributed, so only the outcome
+counts matter, and they are sampled directly: the number of intact trials is
+binomial, and the outcomes of the intact and of the broken trials are
+multinomial given that number.  Time and memory do not depend on ``trials``
+or on n.
 
 Randomness comes from numpy's counter-based Philox generator; setting k of
 the nine Pauli-pair settings uses the substream ``Philox(key=seed).jumped(k)``,
@@ -37,7 +44,7 @@ _EIGVECS = {
     "z": np.array([[1, 0], [0, 1]], dtype=np.complex128),
 }
 
-_PERM_CHUNK = 1 << 17  # rows per block when sampling permutations
+_MAX_TRIALS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
 @dataclass(frozen=True)
@@ -138,27 +145,18 @@ def marginal_probabilities(rho2, axis: str) -> np.ndarray:
     )
 
 
-def _intact_flags(model: DeliveryModel, trials: int, rng: np.random.Generator) -> np.ndarray:
-    if model.kind == "bernoulli":
-        return rng.random(trials) < model.s
-    n = int(model.n)
-    flags = np.empty(trials, dtype=bool)
-    base = np.arange(n, dtype=np.int64)
-    done = 0
-    while done < trials:
-        block = min(_PERM_CHUNK, trials - done)
-        perms = rng.permuted(np.broadcast_to(base, (block, n)).copy(), axis=1)
-        flags[done : done + block] = perms[:, 0] == 0
-        done += block
-    return flags
-
-
 def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) -> SimReport:
     """Run the delivery simulation and compare against the mixing-map prediction.
 
     Every setting gets its own ``trials`` deliveries on an independent
-    substream of ``seed``.  Intact trials sample the joint distribution of the
-    prepared pure state; broken trials sample the two marginals independently.
+    substream of ``seed``, drawn as three counts: the intact deliveries
+    ``k ~ Binomial(trials, s_eff)``, their outcomes ``~ Multinomial(k, p)``
+    under the prepared pure state's joint distribution ``p``, and the
+    outcomes of the ``trials - k`` broken deliveries
+    ``~ Multinomial(trials - k, pa (x) pb)`` under the product of its
+    marginals.  Since every trial is intact independently with probability
+    ``s_eff`` and then measured independently, these counts have exactly the
+    distribution of playing out each trial in turn.
 
     Parameters
     ----------
@@ -166,12 +164,12 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     a : float
         Preparation amplitude of the shipped pure state.
     trials : int
-        Deliveries per measurement setting, >= 1.
+        Deliveries per measurement setting, 1 <= trials <= 2**63 - 1.
     seed : int
         Philox key; runs with equal arguments are bit-identical.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(trials, (int, np.integer)) or not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
@@ -190,13 +188,10 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
         pb = marginal_probabilities(marg, setting[1])
 
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(k))
-        intact = _intact_flags(model, trials, rng)
-        u1 = rng.random(trials)
-        u2 = rng.random(trials)
-        out_joint = np.searchsorted(np.cumsum(p_joint)[:3], u1, side="right")
-        out_broken = 2 * (u1 >= pa[0]).astype(np.int64) + (u2 >= pb[0]).astype(np.int64)
-        outcome = np.where(intact, out_joint, out_broken)
-        freq[k] = np.bincount(outcome, minlength=4) / trials
+        intact = rng.binomial(trials, s_eff)
+        counts = rng.multinomial(intact, p_joint)
+        counts += rng.multinomial(trials - intact, np.kron(pa, pb))
+        freq[k] = counts / trials
 
     se = np.sqrt(pred * (1.0 - pred) / trials)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -116,6 +116,19 @@ def test_fig2_curve_subset(capsys):
     assert lines[0] == "S,EF_max_numeric,EF_bell"
 
 
+def test_fig2_bell_column_is_exact(capsys):
+    # reference digits: 50-digit E_F((3S - 1)/2) at the binary S of each row
+    rc, out = run_cli(capsys, "fig2", "--s-step", "1e-4", "--curves", "max,bell")
+    assert rc == 0
+    rows = {r[0]: r[1:] for r in (line.split(",") for line in out.strip().split("\n")[1:])}
+    assert rows["0.3334"][1] == "7.50452996741e-08"
+    assert rows["0.3337"][1] == "1.89813140872e-06"
+    assert rows["0.5609"][1] == "0.194551652946"
+    # from S = 1/2 on the Bell pair is the optimal preparation
+    assert [S for S, (ef_max, ef_bell) in rows.items()
+            if float(S) >= 0.5 and ef_bell != ef_max] == []
+
+
 def test_fig2_rejects_bad_step(capsys):
     rc, _ = run_cli(capsys, "fig2", "--s-step", "0.3")
     assert rc == 2
@@ -250,13 +263,29 @@ def test_simulate_self_test_failure_exits_4(capsys, monkeypatch):
 
     def rigged(model, a, trials, seed):
         report = real(model, a=a, trials=trials, seed=seed)
+        sigma = np.zeros_like(report.sigma)
+        sigma[report.basis_settings.index("xz"), report.outcome_labels.index("+-")] = 9.9
+        object.__setattr__(report, "sigma", sigma)
         object.__setattr__(report, "max_sigma", 9.9)
         return report
 
     monkeypatch.setattr(cli, "simulate_pair_state", rigged)
-    rc, _ = run_cli(capsys, "simulate", "--model", "bernoulli", "--s", "0.5",
-                    "--a", "0.5", "--trials", "100", "--seed", "1", "--self-test")
+    rc = cli.main(["simulate", "--model", "bernoulli", "--s", "0.5", "--a", "0.5",
+                   "--trials", "100", "--seed", "1", "--self-test"])
     assert rc == 4
+    assert "max_sigma = 9.900 > 4.0 at setting xz, outcome +-" in capsys.readouterr().err
+
+
+def test_simulate_rejects_unrepresentable_trials():
+    proc = subprocess.run(
+        [sys.executable, "-m", "entmix.cli", "simulate", "--model", "bernoulli", "--s", "0.5",
+         "--a", "0.5", "--trials", "10000000000000000000", "--seed", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "trials must be an integer in [1, 9223372036854775807]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_console_entry_point_runs():

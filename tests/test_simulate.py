@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def test_permutation_effective_s_validation():
             permutation_effective_s(n)
     with pytest.raises(ValueError):
         permutation_effective_s(2.0)
+
+
+def test_permutation_fixed_point_frequency_is_one_over_n():
+    # checks the 1/n the simulator samples with, on full uniform permutations
+    n, chunk, chunks = 256, 8192, 16
+    rng = np.random.default_rng(2024)
+    rows = np.broadcast_to(np.arange(n, dtype=np.int16), (chunk, n))
+    fixed = sum(int(np.count_nonzero(rng.permuted(rows, axis=1)[:, 0] == 0))
+                for _ in range(chunks))
+    trials = chunk * chunks
+    p = permutation_effective_s(n)
+    assert abs(fixed / trials - p) <= 4 * np.sqrt(p * (1 - p) / trials)
 
 
 def test_delivery_model_validation():
@@ -75,6 +88,24 @@ def test_simulate_argument_validation():
         simulate_pair_state(model, a=0.5, trials=10, seed=1.5)
     with pytest.raises(ValueError):
         simulate_pair_state(model, a=1.5, trials=10, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_pair_state(model, a=0.5, trials=2**63, seed=1)
+
+
+def test_memory_does_not_grow_with_trials_or_n():
+    def peak(model, trials):
+        tracemalloc.start()
+        try:
+            simulate_pair_state(model, a=0.6, trials=trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bernoulli = DeliveryModel("bernoulli", s=0.3)
+    simulate_pair_state(bernoulli, a=0.6, trials=10, seed=3)  # warm-up: first-call caches
+    base = peak(bernoulli, 10)
+    assert peak(bernoulli, 1_000_000) <= 1.5 * base
+    assert peak(DeliveryModel("permutation", n=1000), 2000) <= 1.5 * base
 
 
 def test_same_seed_is_bit_reproducible():
