@@ -4,7 +4,7 @@ The delivered concurrence is 2[s w - (1-s) w^2] with w = a sqrt(1-a^2), so it
 stays positive whenever s exceeds w/(1+w).  Bell pairs (w = 1/2) die below
 s = 1/3, but weakly entangled preparations survive any s > 0.  This script
 maps the survival threshold, finds the optimal amplitude for each s, and
-evaluates the resulting lower bound on distillable entanglement.
+evaluates n E_F(1/n), the total E_F of n pairs delivered at s = 1/n.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ for s in (0.05, 0.01, 0.001):
     ratio = ef_max_asymptotic(s) / optimize_prep(s).ef_max
     print(f"  s = {s:6.3f}:  asymptote/optimum = {ratio:.4f}")
 
-print("\nper-shipment E_F at s = 1/n lower-bounds what n cooperating pairs")
-print("could distill with single-qubit operations only:")
+print("\ntotal E_F of n pairs delivered at s = 1/n from the optimal preparation")
+print("(not a distillable-entanglement bound: E_D <= E_F for every state):")
 for n in (2, 3, 10, 100):
     print(f"  n = {n:4d}:  n * E_F_max(1/n) = {eisert_lower_bound(n):.6e}")

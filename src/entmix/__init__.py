@@ -28,7 +28,6 @@ from .entanglement import (
 from .linalg import (
     EigenDecomposition,
     eig_hermitian,
-    is_hermitian,
     mat_sqrt_psd,
     partial_trace,
     tensor,
@@ -93,7 +92,6 @@ __all__ = [
     "estimate_concurrence",
     "fidelity",
     "horodecki_m",
-    "is_hermitian",
     "joint_probabilities",
     "lhvt_decompose",
     "lhvt_region",

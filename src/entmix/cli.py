@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bounds = sub.add_parser("bounds", help="survival / CHSH / distillability thresholds (JSON)")
+    p_bounds = sub.add_parser("bounds", help="survival / CHSH thresholds, n E_F(1/n) (JSON)")
     p_bounds.add_argument("--survival", action="store_true")
     p_bounds.add_argument("--chsh", action="store_true")
     p_bounds.add_argument("--eisert", action="store_true")

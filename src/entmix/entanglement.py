@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, mat_sqrt_psd, tensor
+from .linalg import _sqrt_psd, tensor
 from .mixing import xstate_fields
 from .states import PrepParams, pauli, validate
 
@@ -44,16 +44,19 @@ class OptimalPrep:
 
 def spin_flip(rho) -> np.ndarray:
     """(sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = validate(rho)
+    return _flip(validate(rho))
+
+
+def _flip(m):
     return _YY @ m.conj() @ _YY
 
 
 def wootters_spectrum(rho) -> WoottersSpectrum:
     """Spectrum of sqrt(rho . rho~) via the Hermitian product sqrt(rho) rho~ sqrt(rho)."""
     m = validate(rho)
-    root = mat_sqrt_psd(m)
-    prod = root @ spin_flip(m) @ root
-    w = eig_hermitian((prod + prod.conj().T) / 2).eigenvalues
+    root = _sqrt_psd(m)
+    prod = root @ _flip(m) @ root
+    w = np.linalg.eigh((prod + prod.conj().T) / 2)[0][::-1]
     lam = np.sqrt(np.clip(w, 0.0, None))
     return WoottersSpectrum(lambdas=tuple(float(x) for x in lam))
 
@@ -186,10 +189,12 @@ def ef_max_asymptotic(s):
 
 
 def eisert_lower_bound(n: int) -> float:
-    """n times the optimal E_F at s = 1/n.
+    """Total E_F of n pairs delivered at s = 1/n from the optimal preparation.
 
-    Lower-bounds the entanglement distillable from n shipped pairs when the
-    receiving parties can only operate on individual qubits.
+    Not a lower bound on distillable entanglement: E_D <= E_F for every state
+    (Bennett et al., PRA 54, 3824 (1996)), and at s = 1/n <= 1/2 the coherent
+    information is negative for every a.  The paper's abstract does not say
+    which bound it means by this number.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")

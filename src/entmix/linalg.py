@@ -30,28 +30,27 @@ def as_matrix(m, dims=(2, 4)) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
-    """True if max |m[i,j] - conj(m[j,i])| <= tol."""
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+def _kron2(a, b) -> np.ndarray:
+    # np.kron of two 2x2 arrays: the same products, without its generic reshaping
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit (2x2) matrices, A side first."""
-    a = as_matrix(a, dims=(2,))
-    b = as_matrix(b, dims=(2,))
-    return np.kron(a, b)
+    return _kron2(as_matrix(a, dims=(2,)), as_matrix(b, dims=(2,)))
 
 
 def partial_trace(m, keep: str) -> np.ndarray:
     """Reduce a two-qubit matrix to the marginal of subsystem ``keep`` ('A' or 'B')."""
-    a = as_matrix(m, dims=(4,))
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return _marginals(as_matrix(m, dims=(4,)))[keep == "B"]
+
+
+def _marginals(a):
+    # (Tr_B a, Tr_A a): two terms per entry, one for each value of the traced index
     t = a.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ijkj->ik", t)
-    if keep == "B":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return t[:, 0, :, 0] + t[:, 1, :, 1], t[0, :, 0, :] + t[1, :, 1, :]
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+def _hermitian(m) -> np.ndarray:
+    a = as_matrix(m)
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e}")
+    return a
+
+
 def eig_hermitian(m) -> EigenDecomposition:
     """Full spectrum of a Hermitian matrix, sorted descending.
 
     Raises ValueError if the input fails the Hermiticity check and
     numpy.linalg.LinAlgError if the eigensolver does not converge.
     """
-    a = as_matrix(m)
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(_hermitian(m))
     return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
@@ -86,11 +89,14 @@ def mat_sqrt_psd(m) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are treated as round-off and clamped to zero;
     anything more negative raises ValueError.
     """
-    dec = eig_hermitian(m)
-    w = dec.eigenvalues
+    return _sqrt_psd(_hermitian(m))
+
+
+def _sqrt_psd(a) -> np.ndarray:
+    # mat_sqrt_psd on a matrix already known to be Hermitian
+    w, v = np.linalg.eigh(a)
+    w, v = w[::-1], v[:, ::-1]
     if w[-1] < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue = {w[-1]:.3e}")
-    root = np.sqrt(np.maximum(w, 0.0))
-    v = dec.eigenvectors
-    s = (v * root) @ v.conj().T
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     return (s + s.conj().T) / 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, tensor
+from .linalg import _kron2, _marginals
 from .states import PrepParams, psi_a, validate
 
 
@@ -51,9 +51,12 @@ def apply_map(rho, s: float) -> np.ndarray:
     """Mix a two-qubit state with the product of its own marginals, weight 1 - s."""
     if not (np.isfinite(s) and 0.0 <= s <= 1.0):
         raise ValueError(f"success probability s must be in [0, 1], got {s}")
-    m = validate(rho)
-    product = tensor(partial_trace(m, "A"), partial_trace(m, "B"))
-    return s * m + (1.0 - s) * product
+    return _mix(validate(rho), s)
+
+
+def _mix(m, s):
+    # apply_map on a validated state and a checked s
+    return s * m + (1.0 - s) * _kron2(*_marginals(m))
 
 
 def xstate_fields(a, s):

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _concurrence_of_fields, ef_from_concurrence
-from .mixing import apply_map, mapped_xstate, xstate_fields
+from .mixing import _mix, mapped_xstate, xstate_fields
 from .states import PrepParams, pauli, psi_a, validate
 
 _AXES = ("x", "y", "z")
-_SIGMA = tuple(pauli(ax) for ax in _AXES)
+
+# Tr[m (sigma_i x sigma_j)] = _W[3i + j] . (real view of m), where _W is +-1 at four
+# places, one per row of m.  _PAULI_PAIRS[i, j] indexes those terms in the real view
+# of [m, -m]; correlation_matrix adds them in pairs, as np.trace adds a diagonal.
+_P = np.array([np.kron(pauli(i), pauli(j)).T for i in _AXES for j in _AXES])
+_W = np.stack((_P.real, -_P.imag), axis=-1).reshape(9, 32)
+_PAULI_PAIRS = (np.nonzero(_W)[1] + 32 * (_W[_W != 0] < 0)).reshape(3, 3, 4)
 
 # Diagonal of the Werner state (5/12) Bell + (7/12) I/4 used by the witness.
 WITNESS_DIAG = (17.0 / 48.0, 7.0 / 48.0, 7.0 / 48.0, 17.0 / 48.0)
@@ -30,12 +36,9 @@ DEGENERATE_TOL = 1e-12   # |c - 1| below this is flagged boundary-degenerate
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectations T[i, j] = Tr[rho (sigma_i x sigma_j)]."""
-    m = validate(rho)
-    t = np.empty((3, 3))
-    for i, si in enumerate(_SIGMA):
-        for j, sj in enumerate(_SIGMA):
-            t[i, j] = float(np.trace(m @ np.kron(si, sj)).real)
-    return t
+    r = validate(rho).ravel().view(np.float64)
+    x = np.concatenate((r, -r))[_PAULI_PAIRS]
+    return (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
 
 
 def horodecki_m(rho) -> float:
@@ -77,11 +80,11 @@ def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
     """CHSH boundary located by bisection on the full matrix criterion (cross-check)."""
     if not (np.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
-    rho = psi_a(a)
+    rho = validate(psi_a(a))
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if horodecki_m(apply_map(rho, mid)) > 1.0:
+        if horodecki_m(_mix(rho, mid)) > 1.0:
             hi = mid
         else:
             lo = mid

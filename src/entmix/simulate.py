@@ -170,8 +170,8 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     """
     if not isinstance(trials, (int, np.integer)) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}")
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128 - 1], got {seed!r}")
 
     rho_pure = psi_a(a)
     a2 = a * a

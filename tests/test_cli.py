@@ -288,6 +288,19 @@ def test_simulate_rejects_unrepresentable_trials():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_rejects_seed_out_of_range(seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "entmix.cli", "simulate", "--model", "bernoulli", "--s", "0.5",
+         "--a", "0.5", "--trials", "100", "--seed", seed],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "seed must be an integer in [0, 2**128 - 1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "entmix.cli", "bounds", "--survival", "--a", "0.6"],

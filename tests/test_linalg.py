@@ -6,7 +6,6 @@ from entmix.linalg import (
     EigenDecomposition,
     RECON_TOL,
     eig_hermitian,
-    is_hermitian,
     mat_sqrt_psd,
     partial_trace,
     tensor,
@@ -137,13 +136,6 @@ def test_eig_rejects_non_hermitian():
     m[0, 1] = 1e-3
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(m)
-
-
-def test_is_hermitian():
-    assert is_hermitian(pauli("y"))
-    m = np.eye(2, dtype=complex)
-    m[0, 1] = 1e-6
-    assert not is_hermitian(m)
 
 
 def test_matrix_rejects_non_finite():

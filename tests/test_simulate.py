@@ -90,6 +90,10 @@ def test_simulate_argument_validation():
         simulate_pair_state(model, a=1.5, trials=10, seed=1)
     with pytest.raises(ValueError, match="trials"):
         simulate_pair_state(model, a=0.5, trials=2**63, seed=1)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128 - 1\]"):
+            simulate_pair_state(model, a=0.5, trials=10, seed=seed)
+    simulate_pair_state(model, a=0.5, trials=10, seed=2**128 - 1)
 
 
 def test_memory_does_not_grow_with_trials_or_n():

@@ -114,3 +114,21 @@ def test_validate_reports_trace_and_hermiticity():
     with pytest.raises(StateValidationError) as exc:
         validate(m)
     assert any(name == "hermiticity" for name, _ in exc.value.violations)
+
+
+def test_validate_hermiticity_tolerance():
+    # an off-diagonal asymmetry of 1e-6 exceeds HERM_TOL and is the only violation
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-6
+    with pytest.raises(StateValidationError) as exc:
+        validate(m)
+    assert [name for name, _ in exc.value.violations] == ["hermiticity"]
+
+    # Pauli-Y pairs are Hermitian: Y (x) Y fails only on its trace, and the
+    # states (I + Y (x) P) / 4 built from them pass every check
+    for axis in ("x", "y", "z"):
+        pair = np.kron(pauli("y"), pauli(axis))
+        with pytest.raises(StateValidationError) as exc:
+            validate(pair)
+        assert [name for name, _ in exc.value.violations] == ["trace"]
+        validate((np.eye(4) + pair) / 4)
