@@ -68,7 +68,7 @@ def concurrence_general(rho) -> float:
 
 
 def concurrence_raw(a, s):
-    """Unclamped closed-form concurrence of the mapped prepared state; broadcasts.
+    """Unclamped closed-form concurrence of the mapped prepared state; floats or ndarrays.
 
     Negative values mean the state is separable; they are kept unclamped here
     because root finders and optimizers need the sign.
@@ -78,7 +78,7 @@ def concurrence_raw(a, s):
 
 
 def _concurrence_of_fields(d2, d3, t):
-    # X-state concurrence 2 (t - sqrt(d2 d3)) for a coherence t >= 0, unclamped
+    # unclamped X-state concurrence 2 (t - sqrt(d2 d3)) for t >= 0; floats or ndarrays
     return 2.0 * (t - np.sqrt(d2 * d3))
 
 
@@ -93,7 +93,7 @@ def survival_threshold(a: float) -> float:
     With w = a sqrt(1 - a^2), the concurrence is positive iff s > w / (1 + w).
     Undefined at a = 0 or 1 where the prepared state is never entangled.
     """
-    if not (np.isfinite(a) and 0.0 < a < 1.0):
+    if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"survival threshold undefined for a = {a}: state never entangled")
     w = a * math.sqrt(1.0 - a * a)
     return w / (1.0 + w)
@@ -101,7 +101,7 @@ def survival_threshold(a: float) -> float:
 
 def survival_threshold_bisect(a: float, tol: float = 1e-12) -> float:
     """Threshold located by bisection on the unclamped concurrence (cross-check path)."""
-    if not (np.isfinite(a) and 0.0 < a < 1.0):
+    if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"survival threshold undefined for a = {a}: state never entangled")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
@@ -114,24 +114,23 @@ def survival_threshold_bisect(a: float, tol: float = 1e-12) -> float:
 
 
 def ef_from_concurrence(c):
-    """Entanglement of formation (bits) from concurrence; broadcasts, no validation.
+    """Entanglement of formation (bits) from concurrence, a float or an ndarray; no validation.
 
     E_F is the binary entropy of x = (1 + sqrt(1 - c^2)) / 2.  The smaller
     eigenvalue 1 - x is formed directly as c^2 / (2 (1 + sqrt(1 - c^2))) and
     log2(x) as log1p(-(1 - x)) / ln 2, so nothing cancels as c -> 0 and the
     result keeps full relative precision down to the smallest concurrences
-    (where E_F ~ (c^2 / 4) [log2(4 / c^2) + 1 / ln 2]).
+    (where E_F ~ (c^2 / 4) [log2(4 / c^2) + 1 / ln 2]).  E_F(0) is +0.0; a NaN c gives NaN.
     """
-    c = np.asarray(c, dtype=float)
-    y = c * c / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -((1.0 - y) * np.log1p(-y) + y * np.log(y)) / math.log(2.0)
-    return np.where(y > 0.0, h, 0.0)
+    y = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))))
+    # y log y -> 0 at y = 0, read as 0 log 1; adding +0.0 turns the -0.0 there into +0.0
+    h = -((1.0 - y) * np.log1p(-y) + y * np.log(y + (y == 0.0))) / math.log(2.0)
+    return h + 0.0
 
 
 def entanglement_of_formation(c: float) -> float:
     """Entanglement of formation in bits for a two-qubit concurrence c in [0, 1]."""
-    if not np.isfinite(c) or c < -1e-12 or c > 1.0 + 1e-12:
+    if not math.isfinite(c) or c < -1e-12 or c > 1.0 + 1e-12:
         raise ValueError(f"concurrence must be in [0, 1], got {c}")
     return float(ef_from_concurrence(min(max(c, 0.0), 1.0)))
 
@@ -144,13 +143,12 @@ def _a_from_w(w: float) -> float:
 
 
 def max_concurrence(s):
-    """Largest delivered concurrence over all preparations; broadcasts.
+    """Largest delivered concurrence over all preparations; ``s`` a float or an ndarray.
 
     Over w = a sqrt(1 - a^2) in [0, 1/2] the concurrence 2(s w - (1 - s) w^2)
     peaks at w* = s / (2 (1 - s)) below s = 1/2, giving s^2 / (2 (1 - s)),
     and at the edge w* = 1/2 from s = 1/2 on, giving (3 s - 1) / 2.
     """
-    s = np.asarray(s, dtype=float)
     # the minimum keeps the unused branch from dividing by zero at s = 1
     return np.where(s < 0.5, s * s / (2.0 * (1.0 - np.minimum(s, 0.5))), (3.0 * s - 1.0) / 2.0)
 
@@ -163,7 +161,7 @@ def optimize_prep(s: float) -> OptimalPrep:
     a^2 = 2 w*^2 / (1 + sqrt(1 - 4 w*^2)).  It tends to s/2 as s -> 0, from
     above by a relative s / (1 - s), and equals 1/sqrt(2) from s = 1/2 on.
     """
-    if not (np.isfinite(s) and 0.0 <= s <= 1.0):
+    if not (math.isfinite(s) and 0.0 <= s <= 1.0):
         raise ValueError(f"success probability s must be in [0, 1], got {s}")
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)

@@ -12,6 +12,7 @@ function, not a linear channel, so no Kraus form exists or is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,6 @@ class XState:
     d: tuple[float, float, float, float]
     t: float
 
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.shape != (4,) or np.any(d < -1e-12):
-            raise ValueError(f"diagonal entries must be four non-negative reals, got {self.d}")
-        if abs(float(d.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"diagonal entries must sum to 1, got {d.sum()!r}")
-        if abs(self.t) > np.sqrt(max(d[0] * d[3], 0.0)) + 1e-12:
-            raise ValueError(f"coherence |t|={abs(self.t)} exceeds sqrt(d1*d4)={np.sqrt(d[0]*d[3])}")
-
     def to_matrix(self) -> np.ndarray:
         m = np.diag(np.asarray(self.d, dtype=np.complex128))
         m[0, 3] = m[3, 0] = self.t
@@ -49,7 +41,7 @@ class XState:
 
 def apply_map(rho, s: float) -> np.ndarray:
     """Mix a two-qubit state with the product of its own marginals, weight 1 - s."""
-    if not (np.isfinite(s) and 0.0 <= s <= 1.0):
+    if not (math.isfinite(s) and 0.0 <= s <= 1.0):
         raise ValueError(f"success probability s must be in [0, 1], got {s}")
     return _mix(validate(rho), s)
 
@@ -60,9 +52,7 @@ def _mix(m, s):
 
 
 def xstate_fields(a, s):
-    """Closed-form (d1, d2, d3, d4, t) of the mapped prepared state; broadcasts."""
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
+    """Closed-form (d1, d2, d3, d4, t) of the mapped prepared state; floats or ndarrays."""
     a2 = a * a
     b2 = 1.0 - a2
     d1 = s * a2 + (1.0 - s) * a2 * a2
@@ -94,4 +84,4 @@ def fidelity(p: PrepParams) -> float:
 
 def mapped_state(p: PrepParams) -> np.ndarray:
     """Full 4x4 mapped state for preparation ``p`` (general-path evaluation)."""
-    return apply_map(psi_a(p.a), p.s)
+    return _mix(psi_a(p.a), p.s)   # p holds checked a and s, psi_a a valid state

@@ -9,6 +9,7 @@ mixing weight (0 < c < 1, with |c - 1| <= 1e-12 flagged as degenerate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,12 @@ DEGENERATE_TOL = 1e-12   # |c - 1| below this is flagged boundary-degenerate
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectations T[i, j] = Tr[rho (sigma_i x sigma_j)]."""
-    r = validate(rho).ravel().view(np.float64)
+    return _correlation(validate(rho))
+
+
+def _correlation(m):
+    # correlation_matrix of a validated state
+    r = m.ravel().view(np.float64)
     x = np.concatenate((r, -r))[_PAULI_PAIRS]
     return (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
 
@@ -47,7 +53,12 @@ def horodecki_m(rho) -> float:
     The maximal CHSH value of the state is 2 sqrt(M); the inequality can be
     violated iff M > 1.
     """
-    t = correlation_matrix(rho)
+    return _horodecki(validate(rho))
+
+
+def _horodecki(m):
+    # horodecki_m of a validated state
+    t = _correlation(m)
     w = np.linalg.eigvalsh(t.T @ t)
     return float(w[-1] + w[-2])
 
@@ -58,7 +69,7 @@ def chsh_value(rho) -> float:
 
 
 def _horodecki_m_xstate(d1, d2, d3, d4, t):
-    # T = diag(2t, -2t, d1 - d2 - d3 + d4) for the x state; broadcasts
+    # T = diag(2t, -2t, d1 - d2 - d3 + d4) for the x state; floats or ndarrays
     tzz = d1 - d2 - d3 + d4
     x = 4.0 * t * t
     return x + np.maximum(x, tzz * tzz)
@@ -70,7 +81,7 @@ def chsh_boundary(a: float) -> float:
     Closed form in u = a^2 (1 - a^2): s* = (4u - 1 + sqrt(3 - 4u)) / (1 + 4u);
     equals 1/sqrt(2) at a = 1/sqrt(2) and rises towards sqrt(3) - 1 as a -> 0.
     """
-    if not (np.isfinite(a) and 0.0 < a < 1.0):
+    if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
     u = a * a * (1.0 - a * a)
     return ((4.0 * u - 1.0) + np.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u)
@@ -78,13 +89,13 @@ def chsh_boundary(a: float) -> float:
 
 def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
     """CHSH boundary located by bisection on the full matrix criterion (cross-check)."""
-    if not (np.isfinite(a) and 0.0 < a < 1.0):
+    if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
     rho = validate(psi_a(a))
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if horodecki_m(_mix(rho, mid)) > 1.0:
+        if _horodecki(_mix(rho, mid)) > 1.0:   # _mix of a state is a state
             hi = mid
         else:
             lo = mid
@@ -109,12 +120,12 @@ class LhvtWitness:
 
 
 def _witness_weight(t):
-    # the single c that matches the corner coherence t; broadcasts
+    # the single c that matches the corner coherence t; floats or ndarrays
     return t / WITNESS_CORNER
 
 
 def _witness_remainder(d, b, c):
-    # diagonal entry left after removing c * (witness entry b); broadcasts
+    # diagonal entry left after removing c * (witness entry b); floats or ndarrays
     return (d - c * b) / (1.0 - c)
 
 
@@ -144,7 +155,7 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
 
 
 def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
-    # lhvt_decompose(...).feasible on entangled cells, from the fields; broadcasts
+    # lhvt_decompose(...).feasible on entangled cells, from the fields; floats or ndarrays
     c = _witness_weight(t)
     lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):

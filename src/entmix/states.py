@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ class PrepParams:
     s: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and 0.0 <= self.a <= 1.0):
+        if not (math.isfinite(self.a) and 0.0 <= self.a <= 1.0):
             raise ValueError(f"amplitude a must be in [0, 1], got {self.a}")
-        if not (np.isfinite(self.s) and 0.0 <= self.s <= 1.0):
+        if not (math.isfinite(self.s) and 0.0 <= self.s <= 1.0):
             raise ValueError(f"success probability s must be in [0, 1], got {self.s}")
 
 
@@ -45,7 +46,7 @@ class StateValidationError(ValueError):
 
 def psi_a(a: float) -> np.ndarray:
     """Projector onto the pure state a|00> + sqrt(1-a^2)|11>."""
-    if not (np.isfinite(a) and 0.0 <= a <= 1.0):
+    if not (math.isfinite(a) and 0.0 <= a <= 1.0):
         raise ValueError(f"amplitude a must be in [0, 1], got {a}")
     ket = np.zeros(4, dtype=np.complex128)
     ket[0] = a

@@ -7,6 +7,7 @@ from entmix.entanglement import (
     concurrence_general,
     concurrence_raw,
     concurrence_xstate,
+    ef_from_concurrence,
     ef_max_asymptotic,
     eisert_lower_bound,
     entanglement_of_formation,
@@ -16,7 +17,7 @@ from entmix.entanglement import (
     survival_threshold_bisect,
     wootters_spectrum,
 )
-from entmix.mixing import apply_map, mapped_state
+from entmix.mixing import apply_map, mapped_state, xstate_fields
 from entmix.states import PrepParams, bell_state, psi_a
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -147,6 +148,33 @@ def test_ef_monotone():
     grid = np.linspace(1e-6, 1.0, 2000)
     vals = [entanglement_of_formation(c) for c in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_float_calls_match_array_calls_bit_for_bit():
+    # the kernels do float arithmetic on floats and array arithmetic on arrays;
+    # each float call must equal its element of the array call to the last bit
+    rng = np.random.default_rng(20261018)
+    a, s, c = rng.uniform(size=(3, 2000))
+    a = np.append(a, [0.6, 0.6, 0.6, 0.0, 1.0])
+    s = np.append(s, [0.0, 0.5, 1.0, 0.5, 0.5])
+    c = np.append(c, [0.0, 1.0])
+    names = ("d1", "d2", "d3", "d4", "t", "concurrence_raw", "max_concurrence")
+    per_float = [xstate_fields(x, y) + (concurrence_raw(x, y), max_concurrence(y))
+                 for x, y in zip(a.tolist(), s.tolist())]
+    per_array = xstate_fields(a, s) + (concurrence_raw(a, s), max_concurrence(s))
+    for name, got, want in zip(names, zip(*per_float), per_array):
+        assert np.array_equal(_bits(got), _bits(want)), name
+    ef_floats = [ef_from_concurrence(x) for x in c.tolist()]
+    assert np.array_equal(_bits(ef_floats), _bits(ef_from_concurrence(c)))
+    # E_F(0) is +0.0, so it prints as 0, not -0; a NaN concurrence gives NaN
+    assert ef_from_concurrence(0.0) == 0.0 and not np.signbit(ef_from_concurrence(0.0))
+    assert not np.signbit(ef_from_concurrence(np.zeros(3))).any()
+    assert np.isnan(ef_from_concurrence(math.nan))
+    assert np.isnan(ef_from_concurrence(np.array([math.nan]))).all()
 
 
 def test_ef_rejects_out_of_range():

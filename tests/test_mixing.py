@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entmix.mixing import XState, apply_map, fidelity, mapped_state, mapped_xstate
+from entmix.mixing import apply_map, fidelity, mapped_state, mapped_xstate
 from entmix.states import PrepParams, psi_a, validate
 
 
@@ -87,13 +89,22 @@ def test_mapped_xstate_unentangled_endpoint():
     assert x.t == 0.0
 
 
-def test_xstate_rejects_bad_data():
-    with pytest.raises(ValueError):
-        XState(d=(0.5, 0.5, 0.1, -0.1), t=0.0)
-    with pytest.raises(ValueError):
-        XState(d=(0.3, 0.3, 0.3, 0.3), t=0.0)  # trace 1.2
-    with pytest.raises(ValueError):
-        XState(d=(0.25, 0.25, 0.25, 0.25), t=0.3)  # |t| > sqrt(d1 d4)
+def test_mapped_xstate_invariants_on_fig3_grid():
+    # XState does not check its fields; the closed form keeps them a state on
+    # the 200x200 fig3 grid and its edges, with the 1e-12 round-off slack
+    grid = np.linspace(0.0, 1.0, 202).tolist()   # the 200 interior points, plus 0 and 1
+    bad = []
+    for a in grid:
+        for s in grid:
+            x = mapped_xstate(PrepParams(a, s))
+            d1, d2, d3, d4 = x.d
+            if min(x.d) < 0.0:
+                bad.append((a, s, "d_i < 0", x.d))
+            if abs(sum(x.d) - 1.0) > 1e-12:
+                bad.append((a, s, "sum d != 1", sum(x.d)))
+            if abs(x.t) > math.sqrt(d1 * d4) + 1e-12:
+                bad.append((a, s, "|t| > sqrt(d1 d4)", (x.t, d1, d4)))
+    assert not bad, f"{len(bad)} cells fail, first (a, s, check, value): {bad[:3]}"
 
 
 def test_fidelity_no_mixing():

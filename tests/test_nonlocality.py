@@ -129,6 +129,8 @@ def test_lhvt_decompose_boundary_degenerate():
     assert w.boundary_degenerate
     assert not w.feasible
     assert w.violated_constraints == ("c_range",)
+    # 1 - c is exactly 0 here, and lhvt_region divides by it without a warning
+    assert lhvt_region(PrepParams(INV_SQRT2, 5 / 12)) is False
 
 
 def test_lhvt_decomposition_identity():
