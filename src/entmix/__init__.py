@@ -62,52 +62,3 @@ from .states import (
     psi_a,
     validate,
 )
-
-__all__ = [
-    "__version__",
-    "DeliveryModel",
-    "EigenDecomposition",
-    "LhvtWitness",
-    "OptimalPrep",
-    "PrepParams",
-    "RegionMap",
-    "SimReport",
-    "StateValidationError",
-    "WoottersSpectrum",
-    "XState",
-    "apply_map",
-    "barrett_state",
-    "bell_state",
-    "chsh_boundary",
-    "chsh_boundary_bisect",
-    "chsh_value",
-    "concurrence_general",
-    "concurrence_raw",
-    "concurrence_xstate",
-    "correlation_matrix",
-    "ef_max_asymptotic",
-    "eig_hermitian",
-    "eisert_lower_bound",
-    "entanglement_of_formation",
-    "estimate_concurrence",
-    "fidelity",
-    "horodecki_m",
-    "joint_probabilities",
-    "lhvt_decompose",
-    "lhvt_region",
-    "mapped_state",
-    "mapped_xstate",
-    "mat_sqrt_psd",
-    "optimize_prep",
-    "partial_trace",
-    "pauli",
-    "permutation_effective_s",
-    "psi_a",
-    "region_scan",
-    "simulate_pair_state",
-    "survival_threshold",
-    "survival_threshold_bisect",
-    "tensor",
-    "validate",
-    "wootters_spectrum",
-]

@@ -30,14 +30,18 @@ from .entanglement import (
 )
 from .mixing import fidelity, mapped_state, mapped_xstate
 from .nonlocality import (
+    _classify,
+    _grid_axes,
     chsh_boundary,
     chsh_boundary_bisect,
     horodecki_m,
     lhvt_decompose,
-    region_scan,
 )
 from .simulate import SIGMA_THRESHOLD, DeliveryModel, simulate_pair_state
 from .states import PrepParams
+
+# cells fig3 classifies at once: its working memory stays bounded whatever the grid's shape
+_FIG3_BLOCK_CELLS = 1 << 15
 
 _FIG2_CURVES = ("max", "asymptotic", "bell", "a0.1")
 _FIG2_COLUMNS = {
@@ -141,18 +145,23 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    grid = region_scan(args.a_points, args.s_points)   # validates before --out is opened
-    # one write per grid row keeps memory beyond the scan's arrays to one row;
-    # flags[k] is the flag triple for k = entangled<<2 | chsh<<1 | lhvt
-    s_cols = ["," + format(s, ".12g") + "," for s in grid.s.tolist()]
-    flags = [f",{e},{c},{h}\n" for e in "01" for c in "01" for h in "01"]
-    code = (grid.entangled.astype(np.uint8) << 2) | (grid.chsh.astype(np.uint8) << 1) | grid.lhvt
+    a_vals, s_vals = _grid_axes(args.a_points, args.s_points)   # validates before --out is opened
+    # cells[k, j] is the text of cell j with flag code k = entangled<<2 | chsh<<1 | lhvt, "@"
+    # standing for the row's a and a %-slot for its EF: one join, replace and % make a row
+    flags = [f"{e},{c},{h}\n" for e in "01" for c in "01" for h in "01"]
+    s_cols = [format(s, ".12g") for s in s_vals.tolist()]
+    cells = np.array([[f"@,{s},%.12g,{f}" for s in s_cols] for f in flags], dtype=object)
+    cols = np.arange(len(s_cols))
+    rows = max(1, _FIG3_BLOCK_CELLS // len(s_cols))
     with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
-        for a, ef_row, code_row in zip(grid.a.tolist(), grid.ef, code):
-            a_col = format(a, ".12g")
-            fh.write("".join([f"{a_col}{s_col}{ef:.12g}{flags[k]}"
-                              for s_col, ef, k in zip(s_cols, ef_row.tolist(), code_row.tolist())]))
+        for i in range(0, len(a_vals), rows):
+            a_block = a_vals[i:i + rows]
+            ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, :])
+            code = (entangled.astype(np.uint8) << 2) | (chsh.astype(np.uint8) << 1) | lhvt
+            for a, ef_row, code_row in zip(a_block.tolist(), ef, code):
+                row = "".join(cells[code_row, cols].tolist()).replace("@", format(a, ".12g"))
+                fh.write(row % tuple(ef_row.tolist()))
     return 0
 
 

@@ -158,9 +158,10 @@ def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
     # lhvt_decompose(...).feasible on entangled cells, from the fields; floats or ndarrays
     c = _witness_weight(t)
     lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
-            lhvt &= _witness_remainder(d, b, c) >= -SEP_TOL
+    # the clamp keeps the division finite at c >= 1, where the flag is already False
+    one_minus_c = np.maximum(1.0 - c, DEGENERATE_TOL)
+    for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
+        lhvt &= (d - c * b) / one_minus_c >= -SEP_TOL
     return lhvt
 
 
@@ -185,6 +186,24 @@ class RegionMap:
     lhvt: np.ndarray
 
 
+def _grid_axes(a_points: int, s_points: int):
+    # the a and s coordinates of the uniform interior grid, after checking its shape
+    if a_points < 2 or s_points < 2:
+        raise ValueError(f"grid must be at least 2x2, got {a_points}x{s_points}")
+    return np.linspace(0.0, 1.0, a_points + 2)[1:-1], np.linspace(0.0, 1.0, s_points + 2)[1:-1]
+
+
+def _classify(a_col, s_row):
+    # (ef, entangled, chsh, lhvt) of each cell of a_col x s_row, broadcast elementwise, so a
+    # block of rows classifies bit for bit as the same rows of the whole grid
+    d1, d2, d3, d4, t = xstate_fields(a_col, s_row)
+    c_raw = _concurrence_of_fields(d2, d3, t)
+    entangled = c_raw > 0.0
+    ef = ef_from_concurrence(np.clip(c_raw, 0.0, None))
+    chsh = _horodecki_m_xstate(d1, d2, d3, d4, t) > 1.0
+    return ef, entangled, chsh, _lhvt_of_fields(d1, d2, d3, d4, t, entangled)
+
+
 def region_scan(a_points: int, s_points: int) -> RegionMap:
     """Classify a uniform interior grid of the (a, s) unit square.
 
@@ -192,14 +211,6 @@ def region_scan(a_points: int, s_points: int) -> RegionMap:
     as the scalar functions: entangled as concurrence_xstate > 0, chsh as
     M > 1, lhvt as lhvt_region.
     """
-    if a_points < 2 or s_points < 2:
-        raise ValueError(f"grid must be at least 2x2, got {a_points}x{s_points}")
-    a_vals = np.linspace(0.0, 1.0, a_points + 2)[1:-1]
-    s_vals = np.linspace(0.0, 1.0, s_points + 2)[1:-1]
-    d1, d2, d3, d4, t = xstate_fields(a_vals[:, None], s_vals[None, :])
-    c_raw = _concurrence_of_fields(d2, d3, t)
-    entangled = c_raw > 0.0
-    ef = ef_from_concurrence(np.clip(c_raw, 0.0, None))
-    chsh = _horodecki_m_xstate(d1, d2, d3, d4, t) > 1.0
-    lhvt = _lhvt_of_fields(d1, d2, d3, d4, t, entangled)
+    a_vals, s_vals = _grid_axes(a_points, s_points)
+    ef, entangled, chsh, lhvt = _classify(a_vals[:, None], s_vals[None, :])
     return RegionMap(a=a_vals, s=s_vals, ef=ef, entangled=entangled, chsh=chsh, lhvt=lhvt)

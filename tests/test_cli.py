@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entmix.cli as cli
-from entmix.nonlocality import region_scan
+from entmix.nonlocality import _classify, region_scan
 
 
 def run_cli(capsys, *argv):
@@ -174,9 +174,21 @@ def fig3_reference(a_points, s_points):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("a_points, s_points", [(37, 23), (2, 2)])
-def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, a_points, s_points):
+@pytest.mark.parametrize("a_points, s_points, block_cells", [
+    pytest.param(37, 23, None, id="37-23"),
+    pytest.param(2, 2, None, id="2-2"),
+    # 50-cell blocks: 5 rows each, filling 2 blocks exactly, then one row over; one row
+    # each, as the row fills a block or is longer than one
+    pytest.param(10, 10, 50, id="10-10-block50"),
+    pytest.param(11, 10, 50, id="11-10-block50"),
+    pytest.param(7, 50, 50, id="7-50-block50"),
+    pytest.param(4, 61, 50, id="4-61-block50"),
+])
+def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, monkeypatch,
+                                             a_points, s_points, block_cells):
     # a non-square grid catches swapped a and S axes
+    if block_cells is not None:
+        monkeypatch.setattr(cli, "_FIG3_BLOCK_CELLS", block_cells)
     want = fig3_reference(a_points, s_points).encode()
     argv = ["fig3", "--a-points", str(a_points), "--s-points", str(s_points)]
     rc, out = run_cli(capsys, *argv)
@@ -204,6 +216,31 @@ def test_fig3_memory_beyond_the_scan_is_one_row(tmp_path):
     fig3_peak = traced_peak(
         lambda: cli.main(["fig3", "--a-points", "400", "--s-points", "400", "--out", out_file]))
     assert fig3_peak <= 1.5 * scan_peak, (fig3_peak, scan_peak)
+
+
+def test_fig3_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
+    # fig3 classifies and writes one block of rows at a time; 20 blocks of 200-cell
+    # rows peak no higher than 2 of them
+    monkeypatch.setattr(cli, "_FIG3_BLOCK_CELLS", 2000)
+    out_file = str(tmp_path / "fig3.csv")
+
+    def fig3(rows):
+        return cli.main(["fig3", "--a-points", str(rows), "--s-points", "200", "--out", out_file])
+
+    fig3(20)   # first-call allocations (lazy imports, caches) would inflate the first peak
+    peaks = [traced_peak(lambda: fig3(rows)) for rows in (20, 200)]
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_region_scan_is_its_row_blocks_stacked():
+    # the kernel classifies a block of rows bit for bit as region_scan does the whole grid
+    grid = region_scan(23, 37)
+    blocks = [_classify(grid.a[i:i + 5, None], grid.s[None, :]) for i in range(0, 23, 5)]
+    ef, entangled, chsh, lhvt = (np.concatenate(parts) for parts in zip(*blocks))
+    np.testing.assert_array_equal(ef.view(np.int64), grid.ef.view(np.int64))
+    for got, want in ((entangled, grid.entangled), (chsh, grid.chsh), (lhvt, grid.lhvt)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == np.bool_
 
 
 def test_fig3_validates_grid_before_opening_out(capsys, tmp_path):

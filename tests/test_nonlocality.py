@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 from entmix.entanglement import concurrence_xstate, entanglement_of_formation
 from entmix.mixing import apply_map, mapped_state
 from entmix.nonlocality import (
+    WITNESS_CORNER,
     WITNESS_DIAG,
+    _lhvt_of_fields,
     chsh_boundary,
     chsh_boundary_bisect,
     chsh_value,
@@ -151,6 +153,15 @@ def test_lhvt_region_examples():
     assert lhvt_region(PrepParams(INV_SQRT2, 0.30)) is False  # not entangled
     assert lhvt_region(PrepParams(0.6, 0.4)) is False  # d1 constraint fails
     assert lhvt_region(PrepParams(0.2, 0.8)) is False  # d1 constraint fails
+
+
+@pytest.mark.parametrize("t", [WITNESS_CORNER, 1.5 * WITNESS_CORNER,
+                               np.array([WITNESS_CORNER, 1.5 * WITNESS_CORNER])])
+def test_lhvt_of_fields_at_and_beyond_c_one_warns_nothing(t):
+    # c = t / WITNESS_CORNER is 1 or more: no local model, and no division by 1 - c <= 0
+    with np.errstate(all="raise"):
+        lhvt = _lhvt_of_fields(*WITNESS_DIAG, t, entangled=True)
+    assert not np.any(lhvt)
 
 
 def test_region_scan_validation():
