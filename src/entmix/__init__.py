@@ -25,13 +25,6 @@ from .entanglement import (
     survival_threshold_bisect,
     wootters_spectrum,
 )
-from .linalg import (
-    EigenDecomposition,
-    eig_hermitian,
-    mat_sqrt_psd,
-    partial_trace,
-    tensor,
-)
 from .mixing import XState, apply_map, fidelity, mapped_state, mapped_xstate
 from .nonlocality import (
     LhvtWitness,

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _sqrt_psd, tensor
+from .linalg import _kron2, _sqrt_psd
 from .mixing import xstate_fields
 from .states import PrepParams, pauli, validate
 
-_YY = tensor(pauli("y"), pauli("y"))
+_YY = _kron2(pauli("y"), pauli("y"))
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,8 @@ class OptimalPrep:
     ef_max: float
 
 
-def spin_flip(rho) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _flip(validate(rho))
-
-
 def _flip(m):
+    # the spin flip (sigma_y x sigma_y) m* (sigma_y x sigma_y)
     return _YY @ m.conj() @ _YY
 
 

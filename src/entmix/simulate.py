@@ -125,7 +125,7 @@ class SimReport:
 
 def joint_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome probabilities (++, +-, -+, --) of measuring Pauli axes on both sides."""
-    m = as_matrix(rho, dims=(4,))
+    m = as_matrix(rho)
     va = _EIGVECS[setting[0]]
     vb = _EIGVECS[setting[1]]
     p = np.empty(4)
@@ -134,15 +134,6 @@ def joint_probabilities(rho, setting: str) -> np.ndarray:
             ket = np.kron(va[:, i], vb[:, j])
             p[2 * i + j] = max(float(np.vdot(ket, m @ ket).real), 0.0)
     return p
-
-
-def marginal_probabilities(rho2, axis: str) -> np.ndarray:
-    """(+ , -) outcome probabilities of one Pauli axis on a single-qubit state."""
-    m = as_matrix(rho2, dims=(2,))
-    v = _EIGVECS[axis]
-    return np.array(
-        [max(float(np.vdot(v[:, i], m @ v[:, i]).real), 0.0) for i in range(2)]
-    )
 
 
 def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) -> SimReport:
@@ -174,8 +165,10 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
         raise ValueError(f"seed must be an integer in [0, 2**128 - 1], got {seed!r}")
 
     rho_pure = psi_a(a)
+    # the marginal of either side is diag(a^2, 1 - a^2): (+, -) probabilities
+    # (a^2, 1 - a^2) along z, and exactly (1/2, 1/2) along x and y
     a2 = a * a
-    marg = np.diag([a2, 1.0 - a2]).astype(np.complex128)
+    marginal = {"x": (0.5, 0.5), "y": (0.5, 0.5), "z": (a2, 1.0 - a2)}
     s_eff = model.effective_s
     rho_pred = apply_map(rho_pure, s_eff)
 
@@ -184,8 +177,7 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     for k, setting in enumerate(SETTINGS):
         pred[k] = joint_probabilities(rho_pred, setting)
         p_joint = joint_probabilities(rho_pure, setting)
-        pa = marginal_probabilities(marg, setting[0])
-        pb = marginal_probabilities(marg, setting[1])
+        pa, pb = marginal[setting[0]], marginal[setting[1]]
 
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(k))
         intact = rng.binomial(trials, s_eff)

@@ -83,7 +83,7 @@ def validate(rho) -> np.ndarray:
     eigenvalues >= -PSD_TOL.  Raises StateValidationError naming every failed
     check together with the violation magnitude.
     """
-    m = as_matrix(rho, dims=(4,))
+    m = as_matrix(rho)
     violations = []
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev > HERM_TOL:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entmix import entanglement, mixing, nonlocality
-from entmix.entanglement import concurrence_general, spin_flip, wootters_spectrum
+from entmix.entanglement import concurrence_general, wootters_spectrum
 from entmix.mixing import apply_map
 from entmix.nonlocality import correlation_matrix, horodecki_m
 from entmix.states import StateValidationError, pauli
@@ -17,7 +17,6 @@ _YY = np.kron(pauli("y"), pauli("y"))
 
 PUBLIC_4X4 = {
     "apply_map": lambda m: apply_map(m, 0.5),
-    "spin_flip": spin_flip,
     "wootters_spectrum": wootters_spectrum,
     "concurrence_general": concurrence_general,
     "correlation_matrix": correlation_matrix,

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entmix.linalg import (
-    EigenDecomposition,
-    RECON_TOL,
-    eig_hermitian,
-    mat_sqrt_psd,
-    partial_trace,
-    tensor,
-)
+from entmix.linalg import _kron2, _marginals, _sqrt_psd
 from entmix.mixing import apply_map
-from entmix.states import pauli, psi_a
+from entmix.simulate import joint_probabilities
+from entmix.states import psi_a, validate
 
 I2 = np.eye(2, dtype=complex)
 
@@ -22,7 +16,7 @@ def random_hermitian(rng, dim=4):
 
 
 def test_tensor_identity():
-    assert_allclose(tensor(I2, I2), np.eye(4))
+    assert_allclose(_kron2(I2, I2), np.eye(4))
 
 
 def test_tensor_basis_projector():
@@ -30,20 +24,13 @@ def test_tensor_basis_projector():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0  # |01><01|
-    assert_allclose(tensor(p0, p1), expected)
+    assert_allclose(_kron2(p0, p1), expected)
 
 
 def test_tensor_diagonal_product():
     a = 0.6
     d = np.diag([a**2, 1 - a**2]).astype(complex)
-    assert_allclose(np.diag(tensor(d, d)).real, [0.1296, 0.2304, 0.2304, 0.4096], atol=1e-15)
-
-
-def test_tensor_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        tensor(np.eye(4), I2)
-    with pytest.raises(ValueError):
-        tensor(I2, np.eye(3))
+    assert_allclose(np.diag(_kron2(d, d)).real, [0.1296, 0.2304, 0.2304, 0.4096], atol=1e-15)
 
 
 def test_tensor_bilinear_and_trace_multiplicative():
@@ -52,122 +39,90 @@ def test_tensor_bilinear_and_trace_multiplicative():
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
         c = random_hermitian(rng, 2)
-        assert_allclose(tensor(a + c, b), tensor(a, b) + tensor(c, b), atol=1e-12)
+        assert_allclose(_kron2(a + c, b), _kron2(a, b) + _kron2(c, b), atol=1e-12)
         assert_allclose(
-            np.trace(tensor(a, b)), np.trace(a) * np.trace(b), atol=1e-12
+            np.trace(_kron2(a, b)), np.trace(a) * np.trace(b), atol=1e-12
         )
 
 
-def test_partial_trace_product_basis_state():
+def test_marginals_product_basis_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0  # |00><00|
-    assert_allclose(partial_trace(rho, "A"), np.diag([1.0, 0.0]))
-    assert_allclose(partial_trace(rho, "B"), np.diag([1.0, 0.0]))
+    tr_b, tr_a = _marginals(rho)
+    assert_allclose(tr_b, np.diag([1.0, 0.0]))
+    assert_allclose(tr_a, np.diag([1.0, 0.0]))
 
 
-def test_partial_trace_schmidt_marginal():
+def test_marginals_schmidt_state():
     a = 0.3
-    assert_allclose(partial_trace(psi_a(a), "A"), np.diag([a**2, 1 - a**2]), atol=1e-15)
+    for m in _marginals(psi_a(a)):
+        assert_allclose(m, np.diag([a**2, 1 - a**2]), atol=1e-15)
 
 
-def test_partial_trace_maximally_mixed():
-    assert_allclose(partial_trace(np.eye(4) / 4, "B"), np.eye(2) / 2)
+def test_marginals_maximally_mixed():
+    for m in _marginals(np.eye(4) / 4):
+        assert_allclose(m, np.eye(2) / 2)
 
 
-def test_partial_trace_of_tensor():
+def test_marginals_of_tensor():
     rng = np.random.default_rng(2)
     for _ in range(10):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        assert_allclose(partial_trace(tensor(a, b), "A"), a * np.trace(b), atol=1e-12)
-        assert_allclose(partial_trace(tensor(a, b), "B"), b * np.trace(a), atol=1e-12)
+        tr_b, tr_a = _marginals(_kron2(a, b))
+        assert_allclose(tr_b, a * np.trace(b), atol=1e-12)
+        assert_allclose(tr_a, b * np.trace(a), atol=1e-12)
 
 
-def test_partial_trace_rejects_bad_tag():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 4, "C")
-
-
-def test_eig_diagonal():
-    dec = eig_hermitian(np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex))
-    assert_allclose(dec.eigenvalues, [0.5, 0.3, 0.15, 0.05])
-
-
-def test_eig_pauli_x():
-    dec = eig_hermitian(pauli("x"))
-    assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
-
-
-def test_eig_trace_and_determinant_identities():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = random_hermitian(rng)
-        dec = eig_hermitian(m)
-        assert abs(dec.eigenvalues.sum() - np.trace(m).real) <= 1e-10 * max(
-            1.0, abs(np.trace(m).real)
-        )
-        det = np.linalg.det(m).real
-        assert abs(np.prod(dec.eigenvalues) - det) <= 1e-10 * max(1.0, abs(det))
-
-
-def test_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        m = random_hermitian(rng)
-        m /= max(1.0, np.max(np.abs(m)))  # unit-scale entries
-        dec = eig_hermitian(m)
-        assert np.max(np.abs(dec.reconstruct() - m)) <= RECON_TOL
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
-
-
-def test_eig_invariant_under_unitary_conjugation():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        m = random_hermitian(rng)
-        u = eig_hermitian(random_hermitian(rng)).eigenvectors  # a random unitary
-        w1 = eig_hermitian(m).eigenvalues
-        w2 = eig_hermitian(u @ m @ u.conj().T).eigenvalues
-        assert_allclose(w1, w2, atol=1e-9)
-
-
-def test_eig_rejects_non_hermitian():
-    m = np.eye(4, dtype=complex)
-    m[0, 1] = 1e-3
-    with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(m)
+def _joint_xz(rho):
+    return joint_probabilities(rho, "xz")
 
 
 def test_matrix_rejects_non_finite():
-    m = np.eye(4, dtype=complex)
+    m = np.eye(4, dtype=complex) / 4
     m[2, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        eig_hermitian(m)
+    for check in (validate, _joint_xz):
+        with pytest.raises(ValueError, match="finite"):
+            check(m)
+
+
+def test_matrix_rejects_wrong_shape():
+    # the 4x4 route takes two-qubit matrices only: no single-qubit or batched input
+    for shape in ((2, 2), (3, 3), (4, 3), (1, 4, 4)):
+        m = np.zeros(shape, dtype=complex)
+        for check in (validate, _joint_xz):
+            with pytest.raises(ValueError, match="4x4"):
+                check(m)
 
 
 def test_sqrt_identity():
-    assert_allclose(mat_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
+    assert_allclose(_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
 
 
 def test_sqrt_diagonal():
     assert_allclose(
-        mat_sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.25])), np.diag([2.0, 1.0, 0.0, 0.5]), atol=1e-12
+        _sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.25])), np.diag([2.0, 1.0, 0.0, 0.5]), atol=1e-12
     )
 
 
 def test_sqrt_squares_back_to_mapped_state():
     rho = apply_map(psi_a(0.6), 0.5)
-    root = mat_sqrt_psd(rho)
+    root = _sqrt_psd(rho)
     assert np.max(np.abs(root @ root - rho)) <= 1e-9
+
+
+def test_sqrt_squares_back_on_rank_deficient_states():
+    rng = np.random.default_rng(4)
+    for rank in (1, 2, 3, 1, 2, 3):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        root = _sqrt_psd(m)
+        assert np.max(np.abs(root - root.conj().T)) == 0.0
+        assert np.linalg.eigvalsh(root)[0] >= -1e-12
+        assert np.max(np.abs(root @ root - m)) <= 1e-9
 
 
 def test_sqrt_rejects_material_negativity():
     with pytest.raises(ValueError, match="PSD"):
-        mat_sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-6]))
-
-
-def test_eigendecomposition_is_plain_data():
-    dec = eig_hermitian(np.eye(4))
-    assert isinstance(dec, EigenDecomposition)
-    assert dec.eigenvalues.shape == (4,)
-    assert dec.eigenvectors.shape == (4, 4)
+        _sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-6]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -10,7 +11,6 @@ from entmix.simulate import (
     DeliveryModel,
     estimate_concurrence,
     joint_probabilities,
-    marginal_probabilities,
     permutation_effective_s,
     simulate_pair_state,
 )
@@ -74,10 +74,40 @@ def test_joint_probabilities_sum_to_one():
         assert abs(joint_probabilities(rho, setting).sum() - 1.0) < 1e-12
 
 
-def test_marginal_probabilities():
-    rho = np.diag([0.36, 0.64]).astype(complex)
-    assert_allclose(marginal_probabilities(rho, "z"), [0.36, 0.64], atol=1e-14)
-    assert_allclose(marginal_probabilities(rho, "x"), [0.5, 0.5], atol=1e-14)
+_REF_EIGVECS = {
+    "x": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "y": np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0),
+    "z": np.eye(2),
+}
+
+
+def _reference_counts(s_eff, a, trials, seed):
+    # the three documented draws per setting on its own Philox substream: intact
+    # deliveries, their Born-rule outcomes on the pure state, and the broken
+    # deliveries' outcomes under the product of the exact marginals diag(a^2, 1 - a^2)
+    psi = np.array([a, 0.0, 0.0, np.sqrt(1.0 - a * a)])
+    marginal = {"x": [0.5, 0.5], "y": [0.5, 0.5], "z": [a * a, 1.0 - a * a]}
+    counts = np.empty((9, 4), dtype=np.int64)
+    for k, (x, y) in enumerate(itertools.product("xyz", repeat=2)):
+        p_joint = [abs(np.vdot(np.kron(_REF_EIGVECS[x][:, i], _REF_EIGVECS[y][:, j]), psi)) ** 2
+                   for i in range(2) for j in range(2)]
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(k))
+        intact = rng.binomial(trials, s_eff)
+        counts[k] = rng.multinomial(intact, p_joint)
+        counts[k] += rng.multinomial(trials - intact, np.kron(marginal[x], marginal[y]))
+    return counts
+
+
+@pytest.mark.parametrize("model, a, trials, seed", [
+    (DeliveryModel("bernoulli", s=0.4), 0.3, 1000, 7),
+    (DeliveryModel("bernoulli", s=0.05), 0.8, 10**6, 11),
+    (DeliveryModel("permutation", n=4), 0.6, 10**6, 3),
+    (DeliveryModel("permutation", n=9), 0.45, 12345, 2024),
+], ids=["bernoulli-s0.4", "bernoulli-s0.05", "permutation-n4", "permutation-n9"])
+def test_counts_equal_reference_draws(model, a, trials, seed):
+    report = simulate_pair_state(model, a=a, trials=trials, seed=seed)
+    expected = _reference_counts(model.effective_s, a, trials, seed)
+    assert np.array_equal(report.freq, expected / trials)
 
 
 def test_simulate_argument_validation():
