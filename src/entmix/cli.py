@@ -147,10 +147,11 @@ def _cmd_fig2(args) -> int:
 def _cmd_fig3(args) -> int:
     a_vals, s_vals = _grid_axes(args.a_points, args.s_points)   # validates before --out is opened
     # cells[k, j] is the text of cell j with flag code k = entangled<<2 | chsh<<1 | lhvt, "@"
-    # standing for the row's a and a %-slot for its EF: one join, replace and % make a row
-    flags = [f"{e},{c},{h}\n" for e in "01" for c in "01" for h in "01"]
+    # standing for the row's a, and a %-slot for its EF, or a literal 0 where the EF is +0.0
+    # (not entangled): one join, replace and % over the entangled EFs make a row
+    flags = [f"{'%.12g' if e else 0},{e},{c},{h}\n" for e in (0, 1) for c in (0, 1) for h in (0, 1)]
     s_cols = [format(s, ".12g") for s in s_vals.tolist()]
-    cells = np.array([[f"@,{s},%.12g,{f}" for s in s_cols] for f in flags], dtype=object)
+    cells = np.array([[f"@,{s},{f}" for s in s_cols] for f in flags], dtype=object)
     cols = np.arange(len(s_cols))
     rows = max(1, _FIG3_BLOCK_CELLS // len(s_cols))
     with _sink(args.out) as fh:
@@ -159,9 +160,9 @@ def _cmd_fig3(args) -> int:
             a_block = a_vals[i:i + rows]
             ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, :])
             code = (entangled.astype(np.uint8) << 2) | (chsh.astype(np.uint8) << 1) | lhvt
-            for a, ef_row, code_row in zip(a_block.tolist(), ef, code):
+            for a, ef_row, ent_row, code_row in zip(a_block.tolist(), ef, entangled, code):
                 row = "".join(cells[code_row, cols].tolist()).replace("@", format(a, ".12g"))
-                fh.write(row % tuple(ef_row.tolist()))
+                fh.write(row % tuple(ef_row[ent_row].tolist()))
     return 0
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _kron2, _sqrt_psd
+from .linalg import _sqrt_psd
 from .mixing import xstate_fields
-from .states import PrepParams, pauli, validate
+from .states import PrepParams, validate
 
-_YY = _kron2(pauli("y"), pauli("y"))
+# (sigma_y x sigma_y) m (sigma_y x sigma_y) is m reversed on both axes, times these signs
+_FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class OptimalPrep:
 
 
 def _flip(m):
-    # the spin flip (sigma_y x sigma_y) m* (sigma_y x sigma_y)
-    return _YY @ m.conj() @ _YY
+    # the spin flip (sigma_y x sigma_y) m* (sigma_y x sigma_y), exact as a signed permutation
+    return _FLIP_SIGNS * m[::-1, ::-1].conj()
 
 
 def wootters_spectrum(rho) -> WoottersSpectrum:
@@ -53,8 +54,7 @@ def wootters_spectrum(rho) -> WoottersSpectrum:
     root = _sqrt_psd(m)
     prod = root @ _flip(m) @ root
     w = np.linalg.eigh((prod + prod.conj().T) / 2)[0][::-1]
-    lam = np.sqrt(np.clip(w, 0.0, None))
-    return WoottersSpectrum(lambdas=tuple(float(x) for x in lam))
+    return WoottersSpectrum(lambdas=tuple(np.sqrt(np.maximum(w, 0.0)).tolist()))
 
 
 def concurrence_general(rho) -> float:
@@ -145,8 +145,11 @@ def max_concurrence(s):
     peaks at w* = s / (2 (1 - s)) below s = 1/2, giving s^2 / (2 (1 - s)),
     and at the edge w* = 1/2 from s = 1/2 on, giving (3 s - 1) / 2.
     """
-    # the minimum keeps the unused branch from dividing by zero at s = 1
-    return np.where(s < 0.5, s * s / (2.0 * (1.0 - np.minimum(s, 0.5))), (3.0 * s - 1.0) / 2.0)
+    array = isinstance(s, np.ndarray)
+    # the cap keeps the unused branch from dividing by zero at s = 1
+    peak = s * s / (2.0 * (1.0 - (np.minimum(s, 0.5) if array else min(s, 0.5))))
+    edge = (3.0 * s - 1.0) / 2.0
+    return np.where(s < 0.5, peak, edge) if array else (peak if s < 0.5 else edge)
 
 
 def optimize_prep(s: float) -> OptimalPrep:
@@ -162,7 +165,7 @@ def optimize_prep(s: float) -> OptimalPrep:
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
     a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)
-    c_max = float(max_concurrence(s))
+    c_max = max_concurrence(s)
     return OptimalPrep(s=s, a_star=a_star, c_max=c_max, ef_max=entanglement_of_formation(c_max))
 
 

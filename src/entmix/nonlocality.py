@@ -21,11 +21,12 @@ from .states import PrepParams, pauli, psi_a, validate
 _AXES = ("x", "y", "z")
 
 # Tr[m (sigma_i x sigma_j)] = _W[3i + j] . (real view of m), where _W is +-1 at four
-# places, one per row of m.  _PAULI_PAIRS[i, j] indexes those terms in the real view
-# of [m, -m]; correlation_matrix adds them in pairs, as np.trace adds a diagonal.
+# places, one per row of m: at _PAULI_PAIRS[i, j] in the real view of m, with signs
+# _PAULI_SIGNS[i, j].  correlation_matrix adds them in pairs, as np.trace adds a diagonal.
 _P = np.array([np.kron(pauli(i), pauli(j)).T for i in _AXES for j in _AXES])
 _W = np.stack((_P.real, -_P.imag), axis=-1).reshape(9, 32)
-_PAULI_PAIRS = (np.nonzero(_W)[1] + 32 * (_W[_W != 0] < 0)).reshape(3, 3, 4)
+_PAULI_PAIRS = np.nonzero(_W)[1].reshape(3, 3, 4)
+_PAULI_SIGNS = _W[_W != 0].reshape(3, 3, 4)
 
 # Diagonal of the Werner state (5/12) Bell + (7/12) I/4 used by the witness.
 WITNESS_DIAG = (17.0 / 48.0, 7.0 / 48.0, 7.0 / 48.0, 17.0 / 48.0)
@@ -42,8 +43,7 @@ def correlation_matrix(rho) -> np.ndarray:
 
 def _correlation(m):
     # correlation_matrix of a validated state
-    r = m.ravel().view(np.float64)
-    x = np.concatenate((r, -r))[_PAULI_PAIRS]
+    x = m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
     return (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
 
 
@@ -155,11 +155,11 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
 
 
 def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
-    # lhvt_decompose(...).feasible on entangled cells, from the fields; floats or ndarrays
+    # lhvt_decompose(...).feasible on entangled cells; ndarrays, or builtin floats and bool
     c = _witness_weight(t)
     lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
     # the clamp keeps the division finite at c >= 1, where the flag is already False
-    one_minus_c = np.maximum(1.0 - c, DEGENERATE_TOL)
+    one_minus_c = (np.maximum if isinstance(c, np.ndarray) else max)(1.0 - c, DEGENERATE_TOL)
     for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
         lhvt &= (d - c * b) / one_minus_c >= -SEP_TOL
     return lhvt
@@ -167,8 +167,8 @@ def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
 
 def lhvt_region(p: PrepParams) -> bool:
     """True where the witness decomposition exists and entanglement survives."""
-    d1, d2, d3, d4, t = xstate_fields(p.a, p.s)
-    return bool(_lhvt_of_fields(d1, d2, d3, d4, t, _concurrence_of_fields(d2, d3, t) > 0.0))
+    d1, d2, d3, d4, t = map(float, xstate_fields(p.a, p.s))
+    return _lhvt_of_fields(d1, d2, d3, d4, t, bool(_concurrence_of_fields(d2, d3, t) > 0.0))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,20 +82,30 @@ def validate(rho) -> np.ndarray:
 
     Requires Hermiticity within HERM_TOL, unit trace within 1e-9 and all
     eigenvalues >= -PSD_TOL.  Raises StateValidationError naming every failed
-    check together with the violation magnitude.
+    check together with the violation magnitude.  The verdict is a pure function
+    of the coerced complex128 content, so the last content that passed is kept
+    and the same bytes seen again return at once; a failure is never kept.
     """
     m = as_matrix(rho)
+    _check(m.tobytes())
+    return m
+
+
+@functools.lru_cache(maxsize=1)
+def _check(content: bytes) -> None:
+    # validate's checks on the bytes of a coerced 4x4; returns only when all of them pass
+    m = np.frombuffer(content, dtype=np.complex128).reshape(4, 4)
+    mh = m.conj().T
     violations = []
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    herm_dev = float(np.max(np.abs(m - mh)))
     if herm_dev > HERM_TOL:
         violations.append(("hermiticity", herm_dev))
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
+    trace_dev = abs(complex(m.trace()) - 1.0)
     if trace_dev > 1e-9:
         violations.append(("trace", trace_dev))
     if not violations:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        w = np.linalg.eigvalsh((m + mh) / 2)
         if w[0] < -PSD_TOL:
             violations.append(("psd", float(w[0])))
     if violations:
         raise StateValidationError(violations)
-    return m

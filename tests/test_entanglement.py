@@ -245,6 +245,13 @@ def test_max_concurrence_is_the_optimizer_value():
     assert max_concurrence(0.5) == 0.25
 
 
+def test_max_concurrence_of_a_float_is_a_float():
+    # a float takes the same formula in builtin arithmetic, not a 0-d array
+    for s in (0.0, 0.3, 0.5, 0.7, 1.0):
+        assert type(max_concurrence(s)) is float
+        assert type(optimize_prep(s).c_max) is float
+
+
 def test_small_s_concurrence_law():
     # the quadratic small-parameter law 2 a s - 2 a^2 approximates the closed
     # form within 10 max(a^3, a s^2) on the (0, 0.05]^2 box

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from entmix import entanglement, mixing, nonlocality
-from entmix.entanglement import concurrence_general, wootters_spectrum
-from entmix.mixing import apply_map
+from entmix.entanglement import _flip, concurrence_general, wootters_spectrum
+from entmix.mixing import apply_map, mapped_state
 from entmix.nonlocality import correlation_matrix, horodecki_m
-from entmix.states import StateValidationError, pauli
+from entmix.states import PrepParams, StateValidationError, pauli, validate
 
 _SIGMA = [pauli(ax) for ax in "xyz"]
 _YY = np.kron(pauli("y"), pauli("y"))
@@ -119,3 +119,27 @@ def test_concurrence_general_is_bit_identical_to_reference():
     for m, s in STATES:
         for rho in (m, _reference_apply_map(m, s)):
             assert concurrence_general(rho) == _reference_concurrence(rho)
+
+
+def test_flip_is_bit_identical_to_the_yy_products():
+    # sigma_y x sigma_y is a signed permutation, so the reversal is exact, signed zeros too
+    mapped = [mapped_state(PrepParams(a, s)) for a, s in ((0.3, 0.6), (0.0, 0.5), (1.0, 1.0))]
+    for m in [m for m, _ in STATES] + [_reference_apply_map(m, s) for m, s in STATES] + mapped:
+        assert _flip(m).tobytes() == (_YY @ m.conj() @ _YY).tobytes()
+
+
+def test_general_route_checks_psd_once_per_state(monkeypatch):
+    # concurrence_general and horodecki_m of one state share validate's remembered verdict
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    validate(np.eye(4, dtype=complex) / 4)   # some other content is remembered
+    rho = mapped_state(PrepParams(0.3, 0.6))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    concurrence_general(rho)
+    horodecki_m(rho)
+    assert calls.count((4, 4)) == 1

@@ -131,3 +131,46 @@ def test_validate_hermiticity_tolerance():
             validate(pair)
         assert [name for name, _ in exc.value.violations] == ["trace"]
         validate((np.eye(4) + pair) / 4)
+
+
+BREAKS = {
+    "hermiticity": lambda m: m.__setitem__((0, 1), 1e-3),
+    "trace": lambda m: m.__imul__(0.3),
+    "psd": lambda m: m.__setitem__(slice(None), np.diag([0.5, 0.6, 0.0, -0.1])),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(BREAKS))
+def test_validate_sees_a_state_changed_in_place(violation):
+    # validate remembers the last content that passed, not the array object
+    m = np.eye(4, dtype=complex) / 4
+    validate(m)
+    BREAKS[violation](m)
+    with pytest.raises(StateValidationError) as exc:
+        validate(m)
+    with pytest.raises(StateValidationError) as fresh:
+        validate(m.copy())
+    assert [v for v, _ in exc.value.violations] == [violation]
+    assert exc.value.violations == fresh.value.violations
+
+
+def test_validate_never_remembers_a_failure():
+    m = np.eye(4, dtype=complex) * 0.3
+    for _ in range(3):
+        with pytest.raises(StateValidationError) as exc:
+            validate(m)
+        assert [v for v, _ in exc.value.violations] == ["trace"]
+
+
+def test_validate_returns_the_coerced_input_for_remembered_content():
+    m = psi_a(0.3)
+    assert validate(m) is m
+    copy = m.copy()
+    assert validate(copy) is copy
+    as_list = m.tolist()
+    out = validate(as_list)
+    assert out.dtype == np.complex128 and np.array_equal(out, m) and out is not m
+    real = np.eye(4) / 4
+    validate(np.eye(4, dtype=complex) / 4)
+    out = validate(real)
+    assert out.dtype == np.complex128 and np.array_equal(out, real)
