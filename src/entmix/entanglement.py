@@ -95,18 +95,22 @@ def survival_threshold(a: float) -> float:
     return w / (1.0 + w)
 
 
+def _bisect(above, tol):
+    # the midpoint once hi - lo <= tol, or once no float lies strictly between lo and hi
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tol must be finite and > 0, got {tol}")
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while hi - lo > tol and lo < mid < hi:
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def survival_threshold_bisect(a: float, tol: float = 1e-12) -> float:
-    """Threshold located by bisection on the unclamped concurrence (cross-check path)."""
+    """Threshold located by bisection on the unclamped concurrence; tol finite and > 0."""
     if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"survival threshold undefined for a = {a}: state never entangled")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if concurrence_raw(a, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda s: concurrence_raw(a, s) > 0.0, tol)
 
 
 def ef_from_concurrence(c):

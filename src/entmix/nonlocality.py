@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _concurrence_of_fields, ef_from_concurrence
-from .mixing import _mix, mapped_xstate, xstate_fields
+from .entanglement import _bisect, _concurrence_of_fields, ef_from_concurrence
+from .linalg import _kron2, _marginals
+from .mixing import mapped_xstate, xstate_fields
 from .states import PrepParams, pauli, psi_a, validate
 
 _AXES = ("x", "y", "z")
@@ -88,18 +89,23 @@ def chsh_boundary(a: float) -> float:
 
 
 def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
-    """CHSH boundary located by bisection on the full matrix criterion (cross-check)."""
+    """CHSH boundary located by bisection on the full matrix criterion (cross-check).
+
+    T is linear in the state and the map's product term does not depend on s, so each
+    step mixes T's 36 signed real entries of rho and of that term, gathered once, exactly
+    as _mix(rho, s) rounds them (the +-1 signs are exact).  tol must be finite and > 0.
+    """
     if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
     rho = validate(psi_a(a))
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _horodecki(_mix(rho, mid)) > 1.0:   # _mix of a state is a state
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    x1, x0 = (m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
+              for m in (rho, _kron2(*_marginals(rho))))
+    def violates(s):
+        x = s * x1 + (1.0 - s) * x0
+        t = (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
+        w = np.linalg.eigvalsh(t.T @ t)
+        return w[-1] + w[-2] > 1.0
+    return _bisect(violates, tol)
 
 
 @dataclass(frozen=True)

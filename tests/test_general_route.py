@@ -8,8 +8,15 @@ import pytest
 
 from entmix import entanglement, mixing, nonlocality
 from entmix.entanglement import _flip, concurrence_general, wootters_spectrum
-from entmix.mixing import apply_map, mapped_state
-from entmix.nonlocality import correlation_matrix, horodecki_m
+from entmix.linalg import _kron2, _marginals
+from entmix.mixing import _mix, apply_map, mapped_state
+from entmix.nonlocality import (
+    _PAULI_PAIRS,
+    _PAULI_SIGNS,
+    _correlation,
+    correlation_matrix,
+    horodecki_m,
+)
 from entmix.states import PrepParams, StateValidationError, pauli, validate
 
 _SIGMA = [pauli(ax) for ax in "xyz"]
@@ -119,6 +126,19 @@ def test_concurrence_general_is_bit_identical_to_reference():
     for m, s in STATES:
         for rho in (m, _reference_apply_map(m, s)):
             assert concurrence_general(rho) == _reference_concurrence(rho)
+
+
+def test_mixing_the_gathered_entries_gives_the_correlation_of_the_mixed_state():
+    # chsh_boundary_bisect mixes the signed entries of m and of its product term,
+    # gathered once, in place of the state: exact for complex and rank-one states too
+    rng = np.random.default_rng(2021)
+    for m, _ in STATES:
+        x1, x0 = (k.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
+                  for k in (m, _kron2(*_marginals(m))))
+        for s in rng.uniform(size=5).tolist():
+            x = s * x1 + (1.0 - s) * x0
+            t = (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
+            assert t.tobytes() == _correlation(_mix(m, s)).tobytes()
 
 
 def test_flip_is_bit_identical_to_the_yy_products():

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entmix.entanglement import concurrence_xstate, entanglement_of_formation
-from entmix.mixing import apply_map, mapped_state
+from entmix.mixing import _mix, apply_map, mapped_state
 from entmix.nonlocality import (
     WITNESS_CORNER,
     WITNESS_DIAG,
+    _horodecki,
     _lhvt_of_fields,
     chsh_boundary,
     chsh_boundary_bisect,
@@ -17,7 +18,7 @@ from entmix.nonlocality import (
     lhvt_region,
     region_scan,
 )
-from entmix.states import PrepParams, barrett_state, bell_state
+from entmix.states import PrepParams, barrett_state, bell_state, psi_a, validate
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -83,6 +84,25 @@ def test_chsh_boundary_small_a_limit():
 def test_chsh_boundary_agrees_with_bisection():
     for a in np.linspace(0.02, 0.98, 50):
         assert abs(chsh_boundary(a) - chsh_boundary_bisect(a)) <= 1e-8
+
+
+def _reference_chsh_boundary_bisect(a, tol=1e-12):
+    # reference: the bisection on the whole mapped 4x4 state of each step
+    rho = validate(psi_a(a))
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _horodecki(_mix(rho, mid)) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_chsh_boundary_bisect_is_bit_identical_to_the_full_matrix_loop():
+    edges = [1e-6, 0.02, INV_SQRT2, 0.98, 1 - 1e-6]
+    for a in np.random.default_rng(2020).uniform(1e-6, 1 - 1e-6, 2000).tolist() + edges:
+        assert chsh_boundary_bisect(a) == _reference_chsh_boundary_bisect(a), a
 
 
 def test_chsh_boundary_validation():
