@@ -25,7 +25,7 @@ from .entanglement import (
     survival_threshold_bisect,
     wootters_spectrum,
 )
-from .mixing import XState, apply_map, fidelity, mapped_state, mapped_xstate
+from .mixing import apply_map, fidelity, mapped_state
 from .nonlocality import (
     LhvtWitness,
     RegionMap,

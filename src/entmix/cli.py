@@ -28,7 +28,7 @@ from .entanglement import (
     survival_threshold,
     survival_threshold_bisect,
 )
-from .mixing import fidelity, mapped_state, mapped_xstate
+from .mixing import fidelity, mapped_state, xstate_fields
 from .nonlocality import (
     _classify,
     _grid_axes,
@@ -88,7 +88,7 @@ def _emit_json(command: str, params: dict, out: str | None, payload: dict) -> No
 def _cmd_state(args) -> int:
     p = PrepParams(a=args.a, s=args.s)
     rho = mapped_state(p)
-    x = mapped_xstate(p)
+    *d, t = map(float, xstate_fields(p.a, p.s))
     c = concurrence_xstate(p)
     witness = lhvt_decompose(p)
     _emit_json(
@@ -97,7 +97,7 @@ def _cmd_state(args) -> int:
         args.out,
         {
             "matrix": {"real": rho.real.tolist(), "imag": rho.imag.tolist()},
-            "xstate": {"d": list(x.d), "t": x.t},
+            "xstate": {"d": d, "t": t},
             "concurrence": c,
             "entanglement_of_formation": entanglement_of_formation(c),
             "fidelity": fidelity(p),

@@ -13,30 +13,11 @@ function, not a linear channel, so no Kraus form exists or is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _kron2, _marginals
 from .states import PrepParams, psi_a, validate
-
-
-@dataclass(frozen=True)
-class XState:
-    """Image of a prepared pure state under the mixing map, in compact form.
-
-    ``d`` holds the four diagonal entries in the |00>,|01>,|10>,|11> ordering
-    and ``t`` the single real coherence between |00> and |11>.  All other
-    entries of the full matrix vanish.
-    """
-
-    d: tuple[float, float, float, float]
-    t: float
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.diag(np.asarray(self.d, dtype=np.complex128))
-        m[0, 3] = m[3, 0] = self.t
-        return m
 
 
 def apply_map(rho, s: float) -> np.ndarray:
@@ -52,7 +33,7 @@ def _mix(m, s):
 
 
 def xstate_fields(a, s):
-    """Closed-form (d1, d2, d3, d4, t) of the mapped prepared state; floats or ndarrays."""
+    """Closed form of the x state apply_map(psi_a(a), s): diagonal d1..d4, corner t; broadcasts."""
     a2 = a * a
     b2 = 1.0 - a2
     d1 = s * a2 + (1.0 - s) * a2 * a2
@@ -60,16 +41,6 @@ def xstate_fields(a, s):
     d4 = s * b2 + (1.0 - s) * b2 * b2
     t = s * a * np.sqrt(b2)
     return d1, d2, d2, d4, t
-
-
-def mapped_xstate(p: PrepParams) -> XState:
-    """Compact form of the mapped state for preparation ``p``.
-
-    Agrees entrywise with apply_map(psi_a(p.a), p.s); the closed form skips
-    the 4x4 algebra.
-    """
-    d1, d2, d3, d4, t = xstate_fields(p.a, p.s)
-    return XState(d=(float(d1), float(d2), float(d3), float(d4)), t=float(t))
 
 
 def fidelity(p: PrepParams) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import _bisect, _concurrence_of_fields, ef_from_concurrence
 from .linalg import _kron2, _marginals
-from .mixing import mapped_xstate, xstate_fields
+from .mixing import xstate_fields
 from .states import PrepParams, pauli, psi_a, validate
 
 _AXES = ("x", "y", "z")
@@ -97,7 +97,7 @@ def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
     """
     if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
-    rho = validate(psi_a(a))
+    rho = psi_a(a)   # a is checked above, and psi_a builds a valid state
     x1, x0 = (m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
               for m in (rho, _kron2(*_marginals(rho))))
     def violates(s):
@@ -125,14 +125,17 @@ class LhvtWitness:
     boundary_degenerate: bool = False
 
 
-def _witness_weight(t):
-    # the single c that matches the corner coherence t; floats or ndarrays
-    return t / WITNESS_CORNER
-
-
-def _witness_remainder(d, b, c):
-    # diagonal entry left after removing c * (witness entry b); floats or ndarrays
-    return (d - c * b) / (1.0 - c)
+def _witness(d, t):
+    # c matching the corner coherence t, the remainders (d_i - c b_i) / (1 - c) of the four
+    # diagonal fields d, NaN (no warning) where |1 - c| <= DEGENERATE_TOL, and c's range check.
+    # The remainders come one by one: all four arrays of a fig3 block at once cost the flag 1.5x
+    c = t / WITNESS_CORNER
+    one_minus_c = 1.0 - c
+    degenerate = abs(one_minus_c) <= DEGENERATE_TOL
+    denominator = (np.where(degenerate, np.nan, one_minus_c) if isinstance(c, np.ndarray)
+                   else math.nan if degenerate else one_minus_c)   # builtin floats stay floats
+    remainders = ((di - c * b) / denominator for di, b in zip(d, WITNESS_DIAG))
+    return c, remainders, (c > 0.0) & (one_minus_c > DEGENERATE_TOL)
 
 
 def lhvt_decompose(p: PrepParams) -> LhvtWitness:
@@ -142,32 +145,26 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
     c = (24/5) t is the only weight that leaves a diagonal remainder.  The
     remainder (d - c b) / (1 - c) must be entrywise non-negative.
     """
-    x = mapped_xstate(p)
-    c = _witness_weight(x.t)
-    degenerate = abs(c - 1.0) <= DEGENERATE_TOL
-    if degenerate:
-        sep = (np.nan,) * 4
-    else:
-        sep = tuple(float(_witness_remainder(d, b, c)) for d, b in zip(x.d, WITNESS_DIAG))
-    violated = [] if 0.0 < c < 1.0 and not degenerate else ["c_range"]
+    *d, t = map(float, xstate_fields(p.a, p.s))
+    c, remainders, c_ok = _witness(d, t)
+    sep = tuple(remainders)
+    violated = [] if c_ok else ["c_range"]
     violated += [f"d{i + 1}_nonneg" for i, v in enumerate(sep) if v < -SEP_TOL]
     return LhvtWitness(
-        c=float(c),
+        c=c,
         sep_diag=sep,
         feasible=not violated,
         violated_constraints=tuple(violated),
-        boundary_degenerate=degenerate,
+        boundary_degenerate=abs(c - 1.0) <= DEGENERATE_TOL,
     )
 
 
 def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
     # lhvt_decompose(...).feasible on entangled cells; ndarrays, or builtin floats and bool
-    c = _witness_weight(t)
-    lhvt = entangled & (c > 0.0) & (1.0 - c > DEGENERATE_TOL)
-    # the clamp keeps the division finite at c >= 1, where the flag is already False
-    one_minus_c = (np.maximum if isinstance(c, np.ndarray) else max)(1.0 - c, DEGENERATE_TOL)
-    for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG):
-        lhvt &= (d - c * b) / one_minus_c >= -SEP_TOL
+    _, remainders, c_ok = _witness((d1, d2, d3, d4), t)
+    lhvt = entangled & c_ok
+    for r in remainders:
+        lhvt &= r >= -SEP_TOL
     return lhvt
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entmix.mixing import apply_map, fidelity, mapped_state, mapped_xstate
+from entmix.mixing import apply_map, fidelity, mapped_state, xstate_fields
 from entmix.states import PrepParams, psi_a, validate
 
 
@@ -62,48 +62,58 @@ def test_product_states_are_fixed_points_generally():
         assert_allclose(apply_map(rho, rng.uniform()), rho, atol=1e-13)
 
 
-def test_mapped_xstate_matches_apply_map_on_grid():
+def _xstate_gap(a, s, full):
+    # largest gap between xstate_fields(a, s) and the 4x4 full: its diagonal, its [0, 3]
+    # and [3, 0] entries, and every other entry, which the fields leave at 0
+    d1, d2, d3, d4, t = map(float, xstate_fields(a, s))
+    x = np.diag(np.array([d1, d2, d3, d4], dtype=np.complex128))
+    x[0, 3] = x[3, 0] = t
+    return np.max(np.abs(x - full))
+
+
+def test_xstate_fields_match_apply_map_on_grid():
     for a in np.linspace(0, 1, 21):
         for s in np.linspace(0, 1, 21):
-            x = mapped_xstate(PrepParams(a, s)).to_matrix()
-            full = apply_map(psi_a(a), s)
-            assert np.max(np.abs(x - full)) <= 1e-12
+            assert _xstate_gap(float(a), float(s), apply_map(psi_a(a), s)) <= 1e-12
 
 
-def test_mapped_xstate_derived_values():
-    x = mapped_xstate(PrepParams(0.6, 0.5))
-    assert_allclose(x.d, (0.2448, 0.1152, 0.1152, 0.5248), atol=1e-15)
-    assert abs(x.t - 0.24) < 1e-15
+def test_xstate_fields_derived_values():
+    *d, t = map(float, xstate_fields(0.6, 0.5))
+    assert_allclose(d, (0.2448, 0.1152, 0.1152, 0.5248), atol=1e-15)
+    assert abs(t - 0.24) < 1e-15
+    assert _xstate_gap(0.6, 0.5, apply_map(psi_a(0.6), 0.5)) <= 1e-15
 
 
-def test_mapped_xstate_werner_form():
+def test_xstate_fields_werner_form():
     for s in (0.2, 0.5, 0.9):
-        x = mapped_xstate(PrepParams(1 / np.sqrt(2), s))
-        assert_allclose(x.d, ((1 + s) / 4, (1 - s) / 4, (1 - s) / 4, (1 + s) / 4), atol=1e-12)
-        assert abs(x.t - s / 2) < 1e-12
+        *d, t = map(float, xstate_fields(1 / np.sqrt(2), s))
+        assert_allclose(d, ((1 + s) / 4, (1 - s) / 4, (1 - s) / 4, (1 + s) / 4), atol=1e-12)
+        assert abs(t - s / 2) < 1e-12
+        assert _xstate_gap(1 / np.sqrt(2), s, apply_map(psi_a(1 / np.sqrt(2)), s)) <= 1e-12
 
 
-def test_mapped_xstate_unentangled_endpoint():
-    x = mapped_xstate(PrepParams(0.0, 0.7))
-    assert_allclose(x.d, (0, 0, 0, 1), atol=1e-15)
-    assert x.t == 0.0
+def test_xstate_fields_unentangled_endpoint():
+    *d, t = map(float, xstate_fields(0.0, 0.7))
+    assert_allclose(d, (0, 0, 0, 1), atol=1e-15)
+    assert t == 0.0
+    assert _xstate_gap(0.0, 0.7, apply_map(psi_a(0.0), 0.7)) <= 1e-15
 
 
-def test_mapped_xstate_invariants_on_fig3_grid():
-    # XState does not check its fields; the closed form keeps them a state on
+def test_xstate_fields_invariants_on_fig3_grid():
+    # xstate_fields does not check its output; the closed form keeps it a state on
     # the 200x200 fig3 grid and its edges, with the 1e-12 round-off slack
     grid = np.linspace(0.0, 1.0, 202).tolist()   # the 200 interior points, plus 0 and 1
     bad = []
     for a in grid:
         for s in grid:
-            x = mapped_xstate(PrepParams(a, s))
-            d1, d2, d3, d4 = x.d
-            if min(x.d) < 0.0:
-                bad.append((a, s, "d_i < 0", x.d))
-            if abs(sum(x.d) - 1.0) > 1e-12:
-                bad.append((a, s, "sum d != 1", sum(x.d)))
-            if abs(x.t) > math.sqrt(d1 * d4) + 1e-12:
-                bad.append((a, s, "|t| > sqrt(d1 d4)", (x.t, d1, d4)))
+            d1, d2, d3, d4, t = map(float, xstate_fields(a, s))
+            d = (d1, d2, d3, d4)
+            if min(d) < 0.0:
+                bad.append((a, s, "d_i < 0", d))
+            if abs(sum(d) - 1.0) > 1e-12:
+                bad.append((a, s, "sum d != 1", sum(d)))
+            if abs(t) > math.sqrt(d1 * d4) + 1e-12:
+                bad.append((a, s, "|t| > sqrt(d1 d4)", (t, d1, d4)))
     assert not bad, f"{len(bad)} cells fail, first (a, s, check, value): {bad[:3]}"
 
 
@@ -135,4 +145,4 @@ def test_fidelity_minimum_at_bell_amplitude():
 
 def test_mapped_state_equals_xstate_matrix():
     p = PrepParams(0.37, 0.81)
-    assert np.max(np.abs(mapped_state(p) - mapped_xstate(p).to_matrix())) <= 1e-12
+    assert _xstate_gap(p.a, p.s, mapped_state(p)) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entmix.entanglement import concurrence_xstate, entanglement_of_formation
-from entmix.mixing import _mix, apply_map, mapped_state
+from entmix.mixing import _mix, apply_map, mapped_state, xstate_fields
 from entmix.nonlocality import (
     WITNESS_CORNER,
     WITNESS_DIAG,
@@ -153,6 +153,57 @@ def test_lhvt_decompose_boundary_degenerate():
     assert w.violated_constraints == ("c_range",)
     # 1 - c is exactly 0 here, and lhvt_region divides by it without a warning
     assert lhvt_region(PrepParams(INV_SQRT2, 5 / 12)) is False
+
+
+def _expected_witness(a, s):
+    # the witness report's c, remainders and violated constraints away from c = 1, written out here
+    d1, d2, d3, d4, t = map(float, xstate_fields(a, s))
+    c = t / WITNESS_CORNER
+    sep = tuple((d - c * b) / (1.0 - c) for d, b in zip((d1, d2, d3, d4), WITNESS_DIAG))
+    violated = [] if 0.0 < c < 1.0 else ["c_range"]
+    violated += [f"d{i + 1}_nonneg" for i, v in enumerate(sep) if v < -1e-12]
+    return c, (d1, d2, d3, d4), sep, tuple(violated)
+
+
+def test_lhvt_decompose_beyond_c_one_divides_by_the_true_one_minus_c():
+    # c = 2.07 here: the remainders that state prints are (d - c b) / (1 - c) with
+    # 1 - c < 0, not values divided by a clamped denominator
+    c, _, sep, violated = _expected_witness(0.6, 0.9)
+    assert 2.0 < c < 2.1
+    w = lhvt_decompose(PrepParams(0.6, 0.9))
+    assert w.c == c
+    assert w.sep_diag == sep
+    assert w.violated_constraints == violated
+    assert not w.feasible and not w.boundary_degenerate
+
+
+@pytest.mark.parametrize("a, s", [(0.0, 0.7), (0.0, 0.0), (0.6, 0.0), (INV_SQRT2, 0.0)])
+def test_lhvt_decompose_at_c_zero_leaves_the_diagonal(a, s):
+    # a = 0 or s = 0 leaves no coherence, so c = 0 and the remainder is the diagonal itself
+    c, d, _, _ = _expected_witness(a, s)
+    assert c == 0.0
+    w = lhvt_decompose(PrepParams(a, s))
+    assert w.c == 0.0
+    assert w.sep_diag == d
+    assert w.violated_constraints == ("c_range",)
+    assert not w.feasible and not w.boundary_degenerate
+
+
+def test_lhvt_report_and_flag_agree_on_fig3_grid_and_edges():
+    # the report behind state and the flag behind fig3 give the same verdict on every cell
+    # of the default fig3 grid, on its a = 0, 1 and s = 0, 1 edges, and at c = 1
+    grid = region_scan(200, 200)
+    a_vals = [0.0] + grid.a.tolist() + [1.0]
+    s_vals = [0.0] + grid.s.tolist() + [1.0]
+    cells = [(a, s) for a in a_vals for s in s_vals] + [(INV_SQRT2, 5 / 12)]
+    mismatches = []
+    for a, s in cells:
+        p = PrepParams(a, s)
+        report = lhvt_decompose(p).feasible and concurrence_xstate(p) > 0
+        if report != lhvt_region(p):
+            mismatches.append(f"(a={a!r}, s={s!r}): lhvt_decompose {report}, "
+                              f"lhvt_region {lhvt_region(p)}")
+    assert not mismatches, f"{len(mismatches)} cells disagree: " + "; ".join(mismatches[:5])
 
 
 def test_lhvt_decomposition_identity():

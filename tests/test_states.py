@@ -93,7 +93,10 @@ def test_pauli_matrices():
 
 def test_validate_accepts_good_states():
     validate(np.eye(4) / 4)
-    validate(psi_a(0.3))
+    # psi_a builds a valid state at every a, the edges included, so its callers need
+    # not validate it again
+    for a in (0.3, 1e-6, 0.02, 0.98, 1 - 1e-6):
+        validate(psi_a(a))
 
 
 def test_validate_reports_psd_violation():
