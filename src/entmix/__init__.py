@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .entanglement import (
     OptimalPrep,
-    WoottersSpectrum,
     concurrence_general,
     concurrence_raw,
     concurrence_xstate,

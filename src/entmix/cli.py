@@ -40,8 +40,9 @@ from .nonlocality import (
 from .simulate import SIGMA_THRESHOLD, DeliveryModel, simulate_pair_state
 from .states import PrepParams
 
-# cells fig3 classifies at once: its working memory stays bounded whatever the grid's shape
-_FIG3_BLOCK_CELLS = 1 << 15
+# cells fig3 classifies, and rows fig2 computes, at once: their working memory stays
+# bounded whatever the size of the document
+_BLOCK_CELLS = 1 << 15
 
 _FIG2_CURVES = ("max", "asymptotic", "bell", "a0.1")
 _FIG2_COLUMNS = {
@@ -90,7 +91,6 @@ def _cmd_state(args) -> int:
     rho = mapped_state(p)
     *d, t = map(float, xstate_fields(p.a, p.s))
     c = concurrence_xstate(p)
-    witness = lhvt_decompose(p)
     _emit_json(
         "state",
         {"a": args.a, "s": args.s},
@@ -102,13 +102,7 @@ def _cmd_state(args) -> int:
             "entanglement_of_formation": entanglement_of_formation(c),
             "fidelity": fidelity(p),
             "horodecki_m": horodecki_m(rho),
-            "lhvt": {
-                "c": witness.c,
-                "sep_diag": list(witness.sep_diag),
-                "feasible": witness.feasible,
-                "violated_constraints": list(witness.violated_constraints),
-                "boundary_degenerate": witness.boundary_degenerate,
-            },
+            "lhvt": vars(lhvt_decompose(p)),
         },
     )
     return 0
@@ -125,22 +119,25 @@ def _cmd_fig2(args) -> int:
     if unknown or not curves:
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
     curves = [c for c in _FIG2_CURVES if c in curves]
-    s_vals = np.linspace(args.s_step, 1.0, n)
-    c_max = max_concurrence(s_vals)
-    # Bell pairs are the optimum from S = 1/2 on.  Below it, (S - 1/2) + S/2 is
-    # (3S - 1)/2 with one rounding; fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
-    c_bell = np.where(s_vals < 0.5, np.clip((s_vals - 0.5) + s_vals / 2.0, 0.0, None), c_max)
-    values = {
-        "max": ef_from_concurrence(c_max),
-        "asymptotic": ef_max_asymptotic(s_vals),
-        "bell": ef_from_concurrence(c_bell),
-        "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
-    }
-    header = ["S"] + [_FIG2_COLUMNS[c] for c in curves]
-    columns = [s_vals.tolist()] + [values[c].tolist() for c in curves]
+    s_grid = np.linspace(args.s_step, 1.0, n)
     with _sink(args.out) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join([format(x, ".12g") for x in row]) + "\n" for row in zip(*columns))
+        fh.write(",".join(["S"] + [_FIG2_COLUMNS[c] for c in curves]) + "\n")
+        for i in range(0, n, _BLOCK_CELLS):   # every curve is elementwise in S
+            s_vals = s_grid[i:i + _BLOCK_CELLS]
+            c_max = max_concurrence(s_vals)
+            # Bell pairs are the optimum from S = 1/2 on.  Below it, (S - 1/2) + S/2 is
+            # (3S - 1)/2 with one rounding; fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
+            c_bell = np.where(s_vals < 0.5, np.clip((s_vals - 0.5) + s_vals / 2.0, 0.0, None),
+                              c_max)
+            values = {
+                "max": ef_from_concurrence(c_max),
+                "asymptotic": ef_max_asymptotic(s_vals),
+                "bell": ef_from_concurrence(c_bell),
+                "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
+            }
+            columns = [s_vals.tolist()] + [values[c].tolist() for c in curves]
+            fh.writelines(",".join([format(x, ".12g") for x in row]) + "\n"
+                          for row in zip(*columns))
     return 0
 
 
@@ -153,7 +150,7 @@ def _cmd_fig3(args) -> int:
     s_cols = [format(s, ".12g") for s in s_vals.tolist()]
     cells = np.array([[f"@,{s},{f}" for s in s_cols] for f in flags], dtype=object)
     cols = np.arange(len(s_cols))
-    rows = max(1, _FIG3_BLOCK_CELLS // len(s_cols))
+    rows = max(1, _BLOCK_CELLS // len(s_cols))
     with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
         for i in range(0, len(a_vals), rows):
@@ -167,18 +164,10 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model == "bernoulli":
-        if args.s is None:
-            raise ValueError("bernoulli model requires --s")
-        model = DeliveryModel(kind="bernoulli", s=args.s)
-        params = {"model": "bernoulli", "s": args.s}
-    else:
-        if args.n is None:
-            raise ValueError("permutation model requires --n")
-        model = DeliveryModel(kind="permutation", n=args.n)
-        params = {"model": "permutation", "n": args.n}
-    params.update({"a": args.a, "trials": args.trials, "seed": args.seed,
-                   "self_test": args.self_test})
+    model = DeliveryModel(kind=args.model, s=args.s, n=args.n)
+    given = "s" if model.kind == "bernoulli" else "n"
+    params = {"model": model.kind, given: getattr(model, given), "a": args.a,
+              "trials": args.trials, "seed": args.seed, "self_test": args.self_test}
     report = simulate_pair_state(model, a=args.a, trials=args.trials, seed=args.seed)
     _emit_json("simulate", params, args.out, {"report": report.to_dict(),
                                                "sigma_threshold": SIGMA_THRESHOLD})
@@ -285,12 +274,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:   # LinAlgError is a ValueError
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -23,13 +23,6 @@ _FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
 
 
 @dataclass(frozen=True)
-class WoottersSpectrum:
-    """Square roots of the spin-flip eigenvalues, sorted descending."""
-
-    lambdas: tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
 class OptimalPrep:
     """Best preparation amplitude for a given success probability.
 
@@ -48,19 +41,19 @@ def _flip(m):
     return _FLIP_SIGNS * m[::-1, ::-1].conj()
 
 
-def wootters_spectrum(rho) -> WoottersSpectrum:
-    """Spectrum of sqrt(rho . rho~) via the Hermitian product sqrt(rho) rho~ sqrt(rho)."""
+def wootters_spectrum(rho) -> tuple[float, float, float, float]:
+    """Spectrum of sqrt(rho . rho~), descending, via the Hermitian sqrt(rho) rho~ sqrt(rho)."""
     m = validate(rho)
     root = _sqrt_psd(m)
     prod = root @ _flip(m) @ root
     w = np.linalg.eigh((prod + prod.conj().T) / 2)[0][::-1]
-    return WoottersSpectrum(lambdas=tuple(np.sqrt(np.maximum(w, 0.0)).tolist()))
+    return tuple(np.sqrt(np.maximum(w, 0.0)).tolist())
 
 
 def concurrence_general(rho) -> float:
     """Concurrence of an arbitrary two-qubit state: max(0, l1 - l2 - l3 - l4)."""
-    lam = wootters_spectrum(rho).lambdas
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    l1, l2, l3, l4 = wootters_spectrum(rho)
+    return max(0.0, l1 - l2 - l3 - l4)
 
 
 def concurrence_raw(a, s):

@@ -23,7 +23,7 @@ _AXES = ("x", "y", "z")
 
 # Tr[m (sigma_i x sigma_j)] = _W[3i + j] . (real view of m), where _W is +-1 at four
 # places, one per row of m: at _PAULI_PAIRS[i, j] in the real view of m, with signs
-# _PAULI_SIGNS[i, j].  correlation_matrix adds them in pairs, as np.trace adds a diagonal.
+# _PAULI_SIGNS[i, j].  _pair_sums adds them in pairs, as np.trace adds a diagonal.
 _P = np.array([np.kron(pauli(i), pauli(j)).T for i in _AXES for j in _AXES])
 _W = np.stack((_P.real, -_P.imag), axis=-1).reshape(9, 32)
 _PAULI_PAIRS = np.nonzero(_W)[1].reshape(3, 3, 4)
@@ -39,13 +39,23 @@ DEGENERATE_TOL = 1e-12   # |c - 1| below this is flagged boundary-degenerate
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectations T[i, j] = Tr[rho (sigma_i x sigma_j)]."""
-    return _correlation(validate(rho))
+    return _pair_sums(_gather(validate(rho)))
 
 
-def _correlation(m):
-    # correlation_matrix of a validated state
-    x = m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
+def _gather(m):
+    # the signed real entries of m at _PAULI_PAIRS: T[i, j]'s four terms
+    return m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
+
+
+def _pair_sums(x):
+    # T from its gathered terms, added in the pairs np.trace uses
     return (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
+
+
+def _top_two(t):
+    # the sum of the two largest eigenvalues of T^T T
+    w = np.linalg.eigvalsh(t.T @ t)
+    return w[-1] + w[-2]
 
 
 def horodecki_m(rho) -> float:
@@ -54,14 +64,7 @@ def horodecki_m(rho) -> float:
     The maximal CHSH value of the state is 2 sqrt(M); the inequality can be
     violated iff M > 1.
     """
-    return _horodecki(validate(rho))
-
-
-def _horodecki(m):
-    # horodecki_m of a validated state
-    t = _correlation(m)
-    w = np.linalg.eigvalsh(t.T @ t)
-    return float(w[-1] + w[-2])
+    return float(_top_two(correlation_matrix(rho)))
 
 
 def chsh_value(rho) -> float:
@@ -98,14 +101,8 @@ def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
     if not (math.isfinite(a) and 0.0 < a < 1.0):
         raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
     rho = psi_a(a)   # a is checked above, and psi_a builds a valid state
-    x1, x0 = (m.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
-              for m in (rho, _kron2(*_marginals(rho))))
-    def violates(s):
-        x = s * x1 + (1.0 - s) * x0
-        t = (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
-        w = np.linalg.eigvalsh(t.T @ t)
-        return w[-1] + w[-2] > 1.0
-    return _bisect(violates, tol)
+    x1, x0 = map(_gather, (rho, _kron2(*_marginals(rho))))
+    return _bisect(lambda s: _top_two(_pair_sums(s * x1 + (1.0 - s) * x0)) > 1.0, tol)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _concurrence_of_fields
-from .linalg import as_matrix
 from .mixing import apply_map
-from .states import psi_a
+from .states import psi_a, validate
 
 RNG_ALGORITHM = "numpy-philox4x64, per-setting jumped substreams"
 SETTINGS = tuple(x + y for x in "xyz" for y in "xyz")
@@ -93,7 +92,7 @@ class SimReport:
     prediction is met, inf where it is missed).
     """
 
-    model_kind: str
+    model: str
     effective_s: float
     a: float
     trials: int
@@ -107,25 +106,14 @@ class SimReport:
     max_sigma: float
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model_kind,
-            "effective_s": self.effective_s,
-            "a": self.a,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "basis_settings": list(self.basis_settings),
-            "outcome_labels": list(self.outcome_labels),
-            "freq": self.freq.tolist(),
-            "pred": self.pred.tolist(),
-            "sigma": self.sigma.tolist(),
-            "max_sigma": self.max_sigma,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def joint_probabilities(rho, setting: str) -> np.ndarray:
-    """Outcome probabilities (++, +-, -+, --) of measuring Pauli axes on both sides."""
-    m = as_matrix(rho)
+    """Outcome probabilities (++, +-, -+, --) of a setting of SETTINGS on a valid state."""
+    if setting not in SETTINGS:
+        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    m = validate(rho)
     va = _EIGVECS[setting[0]]
     vb = _EIGVECS[setting[1]]
     p = np.empty(4)
@@ -172,10 +160,10 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     s_eff = model.effective_s
     rho_pred = apply_map(rho_pure, s_eff)
 
+    # all of one state's rows before the other's: validate checks each state once
+    pred = np.array([joint_probabilities(rho_pred, setting) for setting in SETTINGS])
     freq = np.empty((9, 4))
-    pred = np.empty((9, 4))
     for k, setting in enumerate(SETTINGS):
-        pred[k] = joint_probabilities(rho_pred, setting)
         p_joint = joint_probabilities(rho_pure, setting)
         pa, pb = marginal[setting[0]], marginal[setting[1]]
 
@@ -190,7 +178,7 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
         sigma = np.abs(freq - pred) / se
     sigma = np.where(se > 0.0, sigma, np.where(freq == pred, 0.0, np.inf))
     return SimReport(
-        model_kind=model.kind,
+        model=model.kind,
         effective_s=s_eff,
         a=float(a),
         trials=int(trials),

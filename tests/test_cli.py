@@ -136,6 +136,19 @@ def test_fig2_rejects_bad_step(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("block_cells", [7, 1000, 4093, 9999])
+def test_fig2_blocks_are_bit_identical_to_one_block(capsys, monkeypatch, block_cells):
+    # every curve is elementwise in S, so a block of rows computes as the same rows of
+    # the whole grid; 9999 leaves a last block of one row
+    argv = ["fig2", "--s-step", "1e-4"]
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 10**4)
+    _, want = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out == want
+
+
 def test_fig3_small_grid(capsys, tmp_path):
     out_file = tmp_path / "fig3.csv"
     rc, _ = run_cli(capsys, "fig3", "--a-points", "12", "--s-points", "12",
@@ -188,7 +201,7 @@ def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, monkeypatch,
                                              a_points, s_points, block_cells):
     # a non-square grid catches swapped a and S axes
     if block_cells is not None:
-        monkeypatch.setattr(cli, "_FIG3_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
     want = fig3_reference(a_points, s_points).encode()
     argv = ["fig3", "--a-points", str(a_points), "--s-points", str(s_points)]
     rc, out = run_cli(capsys, *argv)
@@ -221,7 +234,7 @@ def test_fig3_memory_beyond_the_scan_is_one_row(tmp_path):
 def test_fig3_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     # fig3 classifies and writes one block of rows at a time; 20 blocks of 200-cell
     # rows peak no higher than 2 of them
-    monkeypatch.setattr(cli, "_FIG3_BLOCK_CELLS", 2000)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 2000)
     out_file = str(tmp_path / "fig3.csv")
 
     def fig3(rows):
@@ -230,6 +243,20 @@ def test_fig3_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     fig3(20)   # first-call allocations (lazy imports, caches) would inflate the first peak
     peaks = [traced_peak(lambda: fig3(rows)) for rows in (20, 200)]
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_fig2_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
+    # fig2 computes and writes one block of rows at a time; 20 blocks of rows peak no
+    # higher than 2 of them, plus the S grid itself (8 bytes a row)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 1000)
+    out_file = str(tmp_path / "fig2.csv")
+
+    def fig2(rows):
+        return cli.main(["fig2", "--s-step", repr(1.0 / rows), "--out", out_file])
+
+    fig2(2000)   # first-call allocations (lazy imports, caches) would inflate the first peak
+    peaks = [traced_peak(lambda: fig2(rows)) for rows in (2000, 20000)]
+    assert peaks[1] <= 1.5 * peaks[0] + 8 * 20000, peaks
 
 
 def test_region_scan_is_its_row_blocks_stacked():
@@ -290,9 +317,38 @@ def test_simulate_requires_seed(capsys):
 
 
 def test_simulate_requires_model_parameter(capsys):
-    rc, _ = run_cli(capsys, "simulate", "--model", "bernoulli", "--a", "0.5",
-                    "--trials", "100", "--seed", "1")
+    for model, message in (("bernoulli", "bernoulli model needs s in [0, 1], got None"),
+                           ("permutation", "permutation model needs integer n >= 2, got None")):
+        rc = cli.main(["simulate", "--model", model, "--a", "0.5", "--trials", "100",
+                       "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert f"error: {message}" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--curves", "bogus"], "--curves must be a subset of"),
+    (["bounds", "--eisert"], "--eisert requires --n"),
+], ids=["fig2-curves", "bounds-eisert-no-n"])
+def test_parameter_errors_exit_2_naming_the_parameter(capsys, argv, message):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
     assert rc == 2
+    assert f"error: {message}" in err
+    assert out == ""
+
+
+def test_numeric_failure_exits_3(capsys, monkeypatch):
+    def failing(args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "_cmd_state", failing)   # the parser binds the command at main
+    rc = cli.main(["state", "--a", "0.5", "--s", "0.5"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "numeric failure: Eigenvalues did not converge" in err
+    assert out == ""
 
 
 def test_simulate_self_test_failure_exits_4(capsys, monkeypatch):

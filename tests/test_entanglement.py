@@ -69,7 +69,7 @@ def test_concurrence_closed_form_vs_general_grid():
 def test_wootters_spectrum_of_pure_state():
     # for the pure prepared state the spectrum is (2 a sqrt(1-a^2), 0, 0, 0)
     for a in (0.3, 0.6, INV_SQRT2):
-        lam = wootters_spectrum(psi_a(a)).lambdas
+        lam = wootters_spectrum(psi_a(a))
         assert abs(lam[0] - 2 * a * math.sqrt(1 - a * a)) < 1e-10
         assert all(x < 1e-8 for x in lam[1:])
         assert sorted(lam, reverse=True) == list(lam)

@@ -6,14 +6,13 @@ partial traces and copied eigendecompositions), kept here as the reference.
 import numpy as np
 import pytest
 
-from entmix import entanglement, mixing, nonlocality
+from entmix import entanglement, mixing, nonlocality, simulate
 from entmix.entanglement import _flip, concurrence_general, wootters_spectrum
 from entmix.linalg import _kron2, _marginals
 from entmix.mixing import _mix, apply_map, mapped_state
 from entmix.nonlocality import (
-    _PAULI_PAIRS,
-    _PAULI_SIGNS,
-    _correlation,
+    _gather,
+    _pair_sums,
     correlation_matrix,
     horodecki_m,
 )
@@ -28,6 +27,7 @@ PUBLIC_4X4 = {
     "concurrence_general": concurrence_general,
     "correlation_matrix": correlation_matrix,
     "horodecki_m": horodecki_m,
+    "joint_probabilities": lambda m: simulate.joint_probabilities(m, "xy"),
 }
 
 
@@ -62,7 +62,7 @@ def test_public_functions_validate_once(name, monkeypatch):
             return validate(rho)
         return wrapped
 
-    for mod in (mixing, entanglement, nonlocality):
+    for mod in (mixing, entanglement, nonlocality, simulate):
         monkeypatch.setattr(mod, "validate", counting(mod.validate))
     PUBLIC_4X4[name](np.eye(4, dtype=complex) / 4)
     assert len(calls) == 1
@@ -133,12 +133,10 @@ def test_mixing_the_gathered_entries_gives_the_correlation_of_the_mixed_state():
     # gathered once, in place of the state: exact for complex and rank-one states too
     rng = np.random.default_rng(2021)
     for m, _ in STATES:
-        x1, x0 = (k.ravel().view(np.float64)[_PAULI_PAIRS] * _PAULI_SIGNS
-                  for k in (m, _kron2(*_marginals(m))))
+        x1, x0 = map(_gather, (m, _kron2(*_marginals(m))))
         for s in rng.uniform(size=5).tolist():
-            x = s * x1 + (1.0 - s) * x0
-            t = (x[..., 0] + x[..., 1]) + (x[..., 2] + x[..., 3])
-            assert t.tobytes() == _correlation(_mix(m, s)).tobytes()
+            t = _pair_sums(s * x1 + (1.0 - s) * x0)
+            assert t.tobytes() == correlation_matrix(_mix(m, s)).tobytes()
 
 
 def test_flip_is_bit_identical_to_the_yy_products():

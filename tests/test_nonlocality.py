@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,6 @@ from entmix.mixing import _mix, apply_map, mapped_state, xstate_fields
 from entmix.nonlocality import (
     WITNESS_CORNER,
     WITNESS_DIAG,
-    _horodecki,
     _lhvt_of_fields,
     chsh_boundary,
     chsh_boundary_bisect,
@@ -92,7 +93,7 @@ def _reference_chsh_boundary_bisect(a, tol=1e-12):
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _horodecki(_mix(rho, mid)) > 1.0:
+        if horodecki_m(_mix(rho, mid)) > 1.0:
             hi = mid
         else:
             lo = mid
@@ -106,9 +107,10 @@ def test_chsh_boundary_bisect_is_bit_identical_to_the_full_matrix_loop():
 
 
 def test_chsh_boundary_validation():
-    for a in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            chsh_boundary(a)
+    for boundary in (chsh_boundary, chsh_boundary_bisect):
+        for a in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(f"defined for 0 < a < 1, got {a}")):
+                boundary(a)
 
 
 def test_violation_implies_entanglement():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entmix import states
 from entmix.entanglement import concurrence_raw, concurrence_xstate
 from entmix.simulate import (
     DeliveryModel,
@@ -72,6 +73,22 @@ def test_joint_probabilities_sum_to_one():
     rho /= np.trace(rho).real
     for setting in ("xx", "xy", "yz", "zz"):
         assert abs(joint_probabilities(rho, setting).sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("setting", ["xyz", "qz", "x", "", "ZZ"])
+def test_joint_probabilities_rejects_unknown_settings(setting):
+    # a setting is two axes, each one of x, y, z; a longer string is not read by its prefix
+    with pytest.raises(ValueError, match=f"setting must be one of .*, got {setting!r}"):
+        joint_probabilities(bell_state(), setting)
+
+
+def test_simulation_checks_each_state_once():
+    # apply_map checks the pure state; then the nine rows of the mapped state, and the
+    # nine of the pure state, each check their state once and find it remembered 8 times
+    states._check.cache_clear()
+    simulate_pair_state(DeliveryModel("bernoulli", s=0.4), a=0.6, trials=100, seed=1)
+    info = states._check.cache_info()
+    assert (info.misses, info.hits) == (3, 16), info
 
 
 _REF_EIGVECS = {
