@@ -38,19 +38,19 @@ from .nonlocality import (
     lhvt_decompose,
 )
 from .simulate import SIGMA_THRESHOLD, DeliveryModel, simulate_pair_state
-from .states import PrepParams
+from .states import PrepParams, _real
 
 # cells fig3 classifies, and rows fig2 computes, at once: their working memory stays
 # bounded whatever the size of the document
 _BLOCK_CELLS = 1 << 15
 
-_FIG2_CURVES = ("max", "asymptotic", "bell", "a0.1")
-_FIG2_COLUMNS = {
+_FIG2_COLUMNS = {   # fig2's curves, in column order, and their CSV headers
     "max": "EF_max_numeric",
     "asymptotic": "EF_asymptotic",
     "bell": "EF_bell",
     "a0.1": "EF_a0.1",
 }
+_FIG2_CURVES = ",".join(_FIG2_COLUMNS)
 
 
 def _round12(obj):
@@ -109,16 +109,14 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    if not (0.0 < args.s_step < 1.0):
-        raise ValueError(f"--s-step must be in (0, 1), got {args.s_step}")
+    _real("--s-step", args.s_step, 0, 1, "()")
     n = int(round(1.0 / args.s_step))
     if abs(n * args.s_step - 1.0) > 1e-9:
         raise ValueError(f"--s-step must divide 1 evenly, got {args.s_step}")
     curves = [c.strip() for c in args.curves.split(",") if c.strip()]
-    unknown = [c for c in curves if c not in _FIG2_CURVES]
-    if unknown or not curves:
+    if not curves or not set(curves) <= _FIG2_COLUMNS.keys():
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
-    curves = [c for c in _FIG2_CURVES if c in curves]
+    curves = [c for c in _FIG2_COLUMNS if c in curves]
     s_grid = np.linspace(args.s_step, 1.0, n)
     with _sink(args.out) as fh:
         fh.write(",".join(["S"] + [_FIG2_COLUMNS[c] for c in curves]) + "\n")
@@ -234,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig2 = sub.add_parser("fig2", help="E_F-vs-S curve data (CSV)")
     p_fig2.add_argument("--s-step", type=float, default=0.005, dest="s_step")
-    p_fig2.add_argument("--curves", default=",".join(_FIG2_CURVES),
-                        help="comma list from: max,asymptotic,bell,a0.1")
+    p_fig2.add_argument("--curves", default=_FIG2_CURVES, help=f"comma list from: {_FIG2_CURVES}")
     p_fig2.add_argument("--out", default=None)
     p_fig2.set_defaults(func=_cmd_fig2)
 

@@ -16,10 +16,12 @@ import numpy as np
 
 from .linalg import _sqrt_psd
 from .mixing import xstate_fields
-from .states import PrepParams, validate
+from .states import _N_RANGE, PrepParams, _integer, _real, validate
 
 # (sigma_y x sigma_y) m (sigma_y x sigma_y) is m reversed on both axes, times these signs
 _FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
+
+BISECT_TOL = 1e-12   # the bisections stop once their bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -82,28 +84,24 @@ def survival_threshold(a: float) -> float:
     With w = a sqrt(1 - a^2), the concurrence is positive iff s > w / (1 + w).
     Undefined at a = 0 or 1 where the prepared state is never entangled.
     """
-    if not (math.isfinite(a) and 0.0 < a < 1.0):
-        raise ValueError(f"survival threshold undefined for a = {a}: state never entangled")
+    _real("a", a, 0, 1, "()")
     w = a * math.sqrt(1.0 - a * a)
     return w / (1.0 + w)
 
 
-def _bisect(above, tol):
-    # the midpoint once hi - lo <= tol, or once no float lies strictly between lo and hi
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"bisection tol must be finite and > 0, got {tol}")
+def _bisect(above):
+    # the midpoint of the bracket in [0, 1] where above(s) turns true, once hi - lo <= BISECT_TOL
     lo, hi, mid = 0.0, 1.0, 0.5
-    while hi - lo > tol and lo < mid < hi:
+    while hi - lo > BISECT_TOL:
         lo, hi = (lo, mid) if above(mid) else (mid, hi)
         mid = 0.5 * (lo + hi)
     return mid
 
 
-def survival_threshold_bisect(a: float, tol: float = 1e-12) -> float:
-    """Threshold located by bisection on the unclamped concurrence; tol finite and > 0."""
-    if not (math.isfinite(a) and 0.0 < a < 1.0):
-        raise ValueError(f"survival threshold undefined for a = {a}: state never entangled")
-    return _bisect(lambda s: concurrence_raw(a, s) > 0.0, tol)
+def survival_threshold_bisect(a: float) -> float:
+    """Threshold bisected on the unclamped concurrence to a 1e-12 bracket (BISECT_TOL)."""
+    _real("a", a, 0, 1, "()")
+    return _bisect(lambda s: concurrence_raw(a, s) > 0.0)
 
 
 def ef_from_concurrence(c):
@@ -157,8 +155,7 @@ def optimize_prep(s: float) -> OptimalPrep:
     a^2 = 2 w*^2 / (1 + sqrt(1 - 4 w*^2)).  It tends to s/2 as s -> 0, from
     above by a relative s / (1 - s), and equals 1/sqrt(2) from s = 1/2 on.
     """
-    if not (math.isfinite(s) and 0.0 <= s <= 1.0):
-        raise ValueError(f"success probability s must be in [0, 1], got {s}")
+    _real("s", s, 0, 1)
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
     a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)
@@ -190,6 +187,5 @@ def eisert_lower_bound(n: int) -> float:
     information is negative for every a.  The paper's abstract does not say
     which bound it means by this number.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    _integer("n", n, *_N_RANGE)
     return float(n) * optimize_prep(1.0 / float(n)).ef_max

@@ -12,18 +12,15 @@ function, not a linear channel, so no Kraus form exists or is attempted.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linalg import _kron2, _marginals
-from .states import PrepParams, psi_a, validate
+from .states import PrepParams, _real, psi_a, validate
 
 
 def apply_map(rho, s: float) -> np.ndarray:
     """Mix a two-qubit state with the product of its own marginals, weight 1 - s."""
-    if not (math.isfinite(s) and 0.0 <= s <= 1.0):
-        raise ValueError(f"success probability s must be in [0, 1], got {s}")
+    _real("s", s, 0, 1)
     return _mix(validate(rho), s)
 
 

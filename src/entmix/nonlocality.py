@@ -17,7 +17,7 @@ import numpy as np
 from .entanglement import _bisect, _concurrence_of_fields, ef_from_concurrence
 from .linalg import _kron2, _marginals
 from .mixing import xstate_fields
-from .states import PrepParams, pauli, psi_a, validate
+from .states import PrepParams, _integer, _real, pauli, psi_a, validate
 
 _AXES = ("x", "y", "z")
 
@@ -85,24 +85,22 @@ def chsh_boundary(a: float) -> float:
     Closed form in u = a^2 (1 - a^2): s* = (4u - 1 + sqrt(3 - 4u)) / (1 + 4u);
     equals 1/sqrt(2) at a = 1/sqrt(2) and rises towards sqrt(3) - 1 as a -> 0.
     """
-    if not (math.isfinite(a) and 0.0 < a < 1.0):
-        raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
+    _real("a", a, 0, 1, "()")
     u = a * a * (1.0 - a * a)
     return ((4.0 * u - 1.0) + np.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u)
 
 
-def chsh_boundary_bisect(a: float, tol: float = 1e-12) -> float:
-    """CHSH boundary located by bisection on the full matrix criterion (cross-check).
+def chsh_boundary_bisect(a: float) -> float:
+    """CHSH boundary bisected on the full matrix criterion to a 1e-12 bracket (cross-check).
 
     T is linear in the state and the map's product term does not depend on s, so each
     step mixes T's 36 signed real entries of rho and of that term, gathered once, exactly
-    as _mix(rho, s) rounds them (the +-1 signs are exact).  tol must be finite and > 0.
+    as _mix(rho, s) rounds them (the +-1 signs are exact).
     """
-    if not (math.isfinite(a) and 0.0 < a < 1.0):
-        raise ValueError(f"CHSH boundary defined for 0 < a < 1, got {a}")
+    _real("a", a, 0, 1, "()")
     rho = psi_a(a)   # a is checked above, and psi_a builds a valid state
     x1, x0 = map(_gather, (rho, _kron2(*_marginals(rho))))
-    return _bisect(lambda s: _top_two(_pair_sums(s * x1 + (1.0 - s) * x0)) > 1.0, tol)
+    return _bisect(lambda s: _top_two(_pair_sums(s * x1 + (1.0 - s) * x0)) > 1.0)
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,8 @@ class RegionMap:
 
 def _grid_axes(a_points: int, s_points: int):
     # the a and s coordinates of the uniform interior grid, after checking its shape
-    if a_points < 2 or s_points < 2:
-        raise ValueError(f"grid must be at least 2x2, got {a_points}x{s_points}")
+    _integer("a_points", a_points, 2, 2**63 - 3)   # plus its 2 ends, an int64 np.linspace count
+    _integer("s_points", s_points, 2, 2**63 - 3)
     return np.linspace(0.0, 1.0, a_points + 2)[1:-1], np.linspace(0.0, 1.0, s_points + 2)[1:-1]
 
 

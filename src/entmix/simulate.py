@@ -29,7 +29,7 @@ import numpy as np
 
 from .entanglement import _concurrence_of_fields
 from .mixing import apply_map
-from .states import psi_a, validate
+from .states import _N_RANGE, _integer, _real, psi_a, validate
 
 RNG_ALGORITHM = "numpy-philox4x64, per-setting jumped substreams"
 SETTINGS = tuple(x + y for x in "xyz" for y in "xyz")
@@ -42,8 +42,6 @@ _EIGVECS = {
     "y": np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2.0),
     "z": np.array([[1, 0], [0, 1]], dtype=np.complex128),
 }
-
-_MAX_TRIALS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,9 @@ class DeliveryModel:
 
     def __post_init__(self):
         if self.kind == "bernoulli":
-            if self.s is None or not (np.isfinite(self.s) and 0.0 <= self.s <= 1.0):
-                raise ValueError(f"bernoulli model needs s in [0, 1], got {self.s}")
+            _real("s", self.s, 0, 1)
         elif self.kind == "permutation":
-            if self.n is None or not isinstance(self.n, (int, np.integer)) or self.n < 2:
-                raise ValueError(f"permutation model needs integer n >= 2, got {self.n}")
+            _integer("n", self.n, *_N_RANGE)
         else:
             raise ValueError(f"model kind must be 'bernoulli' or 'permutation', got {self.kind!r}")
 
@@ -78,8 +74,7 @@ class DeliveryModel:
 
 def permutation_effective_s(n: int) -> float:
     """Fixed-point probability of a uniform permutation of n shipments: exactly 1/n."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    _integer("n", n, *_N_RANGE)
     return 1.0 / float(n)
 
 
@@ -147,10 +142,8 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     seed : int
         Philox key; runs with equal arguments are bit-identical.
     """
-    if not isinstance(trials, (int, np.integer)) or not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be an integer in [0, 2**128 - 1], got {seed!r}")
+    _integer("trials", trials, 1, np.iinfo(np.int64).max)   # the most numpy's samplers take
+    _integer("seed", seed, 0, 2**128 - 1, "2**128 - 1")
 
     rho_pure = psi_a(a)
     # the marginal of either side is diag(a^2, 1 - a^2): (+, -) probabilities

@@ -16,6 +16,21 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
+# the pair counts n with a float(n): from 2**1024 - 2**970 on, float(n) rounds up and overflows
+_N_RANGE = (2, 2**1024 - 2**970 - 1, "2**1024 - 2**970 - 1")
+
+
+def _real(name, x, lo, hi, ends="[]"):
+    # reject x unless a finite real from lo to hi, in the closed "[]" or the open "()" interval
+    if x is None or not (math.isfinite(x) and (lo <= x <= hi if ends == "[]" else lo < x < hi)):
+        raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
+
+
+def _integer(name, x, lo, hi, hi_text=None):
+    # reject x unless an int or a numpy integer, not a bool, in [lo, hi]
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi_text or hi}], got {x!r}")
+
 
 @dataclass(frozen=True)
 class PrepParams:
@@ -30,10 +45,8 @@ class PrepParams:
     s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and 0.0 <= self.a <= 1.0):
-            raise ValueError(f"amplitude a must be in [0, 1], got {self.a}")
-        if not (math.isfinite(self.s) and 0.0 <= self.s <= 1.0):
-            raise ValueError(f"success probability s must be in [0, 1], got {self.s}")
+        _real("a", self.a, 0, 1)
+        _real("s", self.s, 0, 1)
 
 
 class StateValidationError(ValueError):
@@ -47,8 +60,7 @@ class StateValidationError(ValueError):
 
 def psi_a(a: float) -> np.ndarray:
     """Projector onto the pure state a|00> + sqrt(1-a^2)|11>."""
-    if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-        raise ValueError(f"amplitude a must be in [0, 1], got {a}")
+    _real("a", a, 0, 1)
     ket = np.zeros(4, dtype=np.complex128)
     ket[0] = a
     ket[3] = np.sqrt(1.0 - a * a)

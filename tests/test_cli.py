@@ -75,15 +75,31 @@ def test_bounds_eisert(capsys):
     assert abs(doc["eisert"]["lower_bound"] - 2 * doc["eisert"]["ef_max"]) < 1e-9
 
 
-@pytest.mark.parametrize("n", ["0", "1", "-3"])
+N_RANGE_TEXT = "n must be an integer in [2, 2**1024 - 2**970 - 1]"
+PAST_THE_FLOATS = pytest.param(str(10**400), id="10**400")   # float(n) overflows
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-3", PAST_THE_FLOATS])
 def test_bounds_eisert_rejects_small_n(n):
     proc = subprocess.run(
         [sys.executable, "-m", "entmix.cli", "bounds", "--eisert", "--n", n],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert f"n must be an integer >= 2, got {n}" in proc.stderr
+    assert f"{N_RANGE_TEXT}, got {n}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n", ["1", PAST_THE_FLOATS])
+def test_simulate_permutation_rejects_n_out_of_range(n):
+    proc = subprocess.run(
+        [sys.executable, "-m", "entmix.cli", "simulate", "--model", "permutation", "--n", n,
+         "--a", "0.6", "--seed", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {N_RANGE_TEXT}, got {n}\n"
     assert proc.stdout == ""
 
 
@@ -275,7 +291,8 @@ def test_fig3_validates_grid_before_opening_out(capsys, tmp_path):
     out_file.write_bytes(b"a,S\n0.5,0.5\n")
     rc = cli.main(["fig3", "--a-points", "1", "--out", str(out_file)])
     assert rc == 2
-    assert "grid must be at least 2x2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "a_points must be an integer in [2, 9223372036854775805], got 1" in err
     assert out_file.read_bytes() == b"a,S\n0.5,0.5\n"
 
 
@@ -317,8 +334,8 @@ def test_simulate_requires_seed(capsys):
 
 
 def test_simulate_requires_model_parameter(capsys):
-    for model, message in (("bernoulli", "bernoulli model needs s in [0, 1], got None"),
-                           ("permutation", "permutation model needs integer n >= 2, got None")):
+    for model, message in (("bernoulli", "s must be in [0, 1], got None"),
+                           ("permutation", f"{N_RANGE_TEXT}, got None")):
         rc = cli.main(["simulate", "--model", model, "--a", "0.5", "--trials", "100",
                        "--seed", "1"])
         out, err = capsys.readouterr()

@@ -109,7 +109,7 @@ def test_chsh_boundary_bisect_is_bit_identical_to_the_full_matrix_loop():
 def test_chsh_boundary_validation():
     for boundary in (chsh_boundary, chsh_boundary_bisect):
         for a in (0.0, 1.0, -0.5, float("nan")):
-            with pytest.raises(ValueError, match=re.escape(f"defined for 0 < a < 1, got {a}")):
+            with pytest.raises(ValueError, match=re.escape(f"a must be in (0, 1), got {a!r}")):
                 boundary(a)
 
 
