@@ -70,7 +70,8 @@ def concurrence_raw(a, s):
 
 def _concurrence_of_fields(d2, d3, t):
     # unclamped X-state concurrence 2 (t - sqrt(d2 d3)) for t >= 0; floats or ndarrays
-    return 2.0 * (t - np.sqrt(d2 * d3))
+    p = d2 * d3
+    return 2.0 * (t - (np.sqrt(p) if isinstance(p, np.ndarray) else math.sqrt(p)))
 
 
 def concurrence_xstate(p: PrepParams) -> float:

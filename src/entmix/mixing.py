@@ -12,6 +12,8 @@ function, not a linear channel, so no Kraus form exists or is attempted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import _kron2, _marginals
@@ -36,7 +38,8 @@ def xstate_fields(a, s):
     d1 = s * a2 + (1.0 - s) * a2 * a2
     d2 = (1.0 - s) * a2 * b2
     d4 = s * b2 + (1.0 - s) * b2 * b2
-    t = s * a * np.sqrt(b2)
+    # a builtin float stays one; math.sqrt raises ValueError where b2 < 0 (|a| > 1)
+    t = s * a * (np.sqrt(b2) if isinstance(b2, np.ndarray) else math.sqrt(b2))
     return d1, d2, d2, d4, t
 
 

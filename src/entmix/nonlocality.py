@@ -33,6 +33,9 @@ _PAULI_SIGNS = _W[_W != 0].reshape(3, 3, 4)
 WITNESS_DIAG = (17.0 / 48.0, 7.0 / 48.0, 7.0 / 48.0, 17.0 / 48.0)
 WITNESS_CORNER = 5.0 / 24.0
 
+# the most interior points of a grid axis: the float64s numpy can hold, less the 2 ends
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8 - 2
+
 SEP_TOL = 1e-12          # round-off slack on the non-negativity constraints
 DEGENERATE_TOL = 1e-12   # |c - 1| below this is flagged boundary-degenerate
 
@@ -95,12 +98,31 @@ def chsh_boundary_bisect(a: float) -> float:
 
     T is linear in the state and the map's product term does not depend on s, so each
     step mixes T's 36 signed real entries of rho and of that term, gathered once, exactly
-    as _mix(rho, s) rounds them (the +-1 signs are exact).
+    as _mix(rho, s) rounds them (the +-1 signs are exact).  Both are real X states, so
+    every off-diagonal term is zero; the gather is checked for that once, and a nonzero
+    term raises RuntimeError naming a.  Each off-diagonal T entry is then +-0 at every s,
+    T^T T is diagonal with entries T_ii^2 in any order of summation, and eigvalsh of a
+    diagonal matrix returns its entries exactly.  So a step forms the three T_ii in floats,
+    in _pair_sums's pairing, and M is the sum of the two largest squares, bit for bit.
     """
     _real("a", a, 0, 1, "()")
     rho = psi_a(a)   # a is checked above, and psi_a builds a valid state
     x1, x0 = map(_gather, (rho, _kron2(*_marginals(rho))))
-    return _bisect(lambda s: _top_two(_pair_sums(s * x1 + (1.0 - s) * x0)) > 1.0)
+    off = ~np.eye(3, dtype=bool)
+    if x1[off].any() or x0[off].any():
+        raise RuntimeError(f"T of psi_a(a) or of its product term is not diagonal at a = {a!r}")
+    terms = [tuple(zip(p, q)) for p, q in zip(np.diagonal(x1).T.tolist(),
+                                              np.diagonal(x0).T.tolist())]
+
+    def above(s):
+        r = 1.0 - s
+        xx, yy, zz = (((s * p0 + r * q0) + (s * p1 + r * q1))
+                      + ((s * p2 + r * q2) + (s * p3 + r * q3))
+                      for (p0, q0), (p1, q1), (p2, q2), (p3, q3) in terms)
+        _, m1, m2 = sorted((xx * xx, yy * yy, zz * zz))
+        return m2 + m1 > 1.0
+
+    return _bisect(above)
 
 
 @dataclass(frozen=True)
@@ -185,10 +207,19 @@ class RegionMap:
 
 
 def _grid_axes(a_points: int, s_points: int):
-    # the a and s coordinates of the uniform interior grid, after checking its shape
-    _integer("a_points", a_points, 2, 2**63 - 3)   # plus its 2 ends, an int64 np.linspace count
-    _integer("s_points", s_points, 2, 2**63 - 3)
-    return np.linspace(0.0, 1.0, a_points + 2)[1:-1], np.linspace(0.0, 1.0, s_points + 2)[1:-1]
+    # the a and s coordinates of the uniform interior grid, after checking both sizes; an
+    # axis that finds no memory is named too
+    sizes = {"a_points": a_points, "s_points": s_points}
+    for name, points in sizes.items():
+        _integer(name, points, 2, _MAX_GRID_POINTS)
+    axes = []
+    for name, points in sizes.items():
+        try:
+            axes.append(np.linspace(0.0, 1.0, points + 2)[1:-1])
+        except MemoryError:
+            raise ValueError(f"{name} must be small enough that its axis fits in memory, "
+                             f"got {points!r}") from None
+    return axes
 
 
 def _classify(a_col, s_row):

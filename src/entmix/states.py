@@ -21,9 +21,14 @@ _N_RANGE = (2, 2**1024 - 2**970 - 1, "2**1024 - 2**970 - 1")
 
 
 def _real(name, x, lo, hi, ends="[]"):
-    # reject x unless a finite real from lo to hi, in the closed "[]" or the open "()" interval
-    if x is None or not (math.isfinite(x) and (lo <= x <= hi if ends == "[]" else lo < x < hi)):
-        raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
+    # reject x unless a finite real from lo to hi, in the closed "[]" or the open "()" interval;
+    # math.isfinite raises TypeError on None, a str or a complex, OverflowError past the floats
+    try:
+        if math.isfinite(x) and (lo <= x <= hi if ends == "[]" else lo < x < hi):
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
 
 
 def _integer(name, x, lo, hi, hi_text=None):

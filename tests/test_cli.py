@@ -67,6 +67,38 @@ def test_bounds_values(capsys):
     assert '"threshold": 0.333333333333,' in out
 
 
+# bounds --survival --chsh --a A, byte for byte: A, then the document's a, and the threshold
+# and bisection_delta of survival and of chsh, as it prints them
+BOUNDS_DOCUMENTS = [
+    ("1e-6", "1e-06", "9.99999000001e-07", "2.57067968868e-14",
+     "0.732050807569", "1.35601529104e-05"),
+    ("0.02", "0.02", "0.0196039980625", "1.11636394573e-13",
+     "0.732017650804", "2.32147634449e-13"),
+    ("0.4", "0.4", "0.268260230587", "2.13495887635e-13",
+     "0.719825455043", "1.7763568394e-13"),
+    ("0.707106781186547", "0.707106781187", "0.333333333333", "1.51600954013e-13",
+     "0.707106781187", "3.35287353437e-13"),
+    ("0.999999", "0.999999", "0.00141221462406", "3.95025808939e-13",
+     "0.732050641762", "8.00548516366e-12"),
+]
+
+
+@pytest.mark.parametrize("flag, a, survival, survival_delta, chsh, chsh_delta", BOUNDS_DOCUMENTS)
+def test_bounds_documents_are_byte_identical(capsys, flag, a, survival, survival_delta, chsh,
+                                             chsh_delta):
+    def block(name, threshold, delta):
+        return (f'  "{name}": {{\n    "a": {a},\n    "threshold": {threshold},\n'
+                f'    "method": "analytic",\n    "bisection_delta": {delta}\n  }}')
+
+    want = (f'{{\n  "version": "{cli.__version__}",\n  "config": {{\n'
+            f'    "command": "bounds",\n    "a": {a}\n  }},\n'
+            + block("survival", survival, survival_delta) + ",\n"
+            + block("chsh", chsh, chsh_delta) + "\n}\n")
+    rc, out = run_cli(capsys, "bounds", "--survival", "--chsh", "--a", flag)
+    assert rc == 0
+    assert out == want
+
+
 def test_bounds_eisert(capsys):
     rc, out = run_cli(capsys, "bounds", "--eisert", "--n", "2")
     doc = json.loads(out)
@@ -292,7 +324,7 @@ def test_fig3_validates_grid_before_opening_out(capsys, tmp_path):
     rc = cli.main(["fig3", "--a-points", "1", "--out", str(out_file)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "a_points must be an integer in [2, 9223372036854775805], got 1" in err
+    assert f"a_points must be an integer in [2, {np.iinfo(np.intp).max // 8 - 2}], got 1" in err
     assert out_file.read_bytes() == b"a,S\n0.5,0.5\n"
 
 

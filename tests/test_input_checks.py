@@ -4,6 +4,7 @@ ValueError naming the parameter, its range and the value, and the edges it must 
 import argparse
 import math
 
+import numpy as np
 import pytest
 
 import entmix.cli as cli
@@ -19,6 +20,7 @@ from entmix.simulate import DeliveryModel, permutation_effective_s, simulate_pai
 from entmix.states import PrepParams, bell_state, psi_a
 
 N_MAX = 2**1024 - 2**970 - 1   # the largest n with a float(n)
+GRID_MAX = np.iinfo(np.intp).max // 8 - 2   # the float64s numpy can hold, less an axis's 2 ends
 BERNOULLI = DeliveryModel("bernoulli", s=0.5)
 
 # entry point: (call, parameter, range as the message writes it, lo, hi)
@@ -44,9 +46,9 @@ CHECKS = {
     "simulate-seed": (lambda x: simulate_pair_state(BERNOULLI, 0.5, 10, x), "seed",
                       "an integer in [0, 2**128 - 1]", 0, 2**128 - 1),
     "grid-a_points": (lambda x: region_scan(x, 3), "a_points",
-                      "an integer in [2, 9223372036854775805]", 2, 2**63 - 3),
+                      f"an integer in [2, {GRID_MAX}]", 2, GRID_MAX),
     "grid-s_points": (lambda x: region_scan(3, x), "s_points",
-                      "an integer in [2, 9223372036854775805]", 2, 2**63 - 3),
+                      f"an integer in [2, {GRID_MAX}]", 2, GRID_MAX),
     "fig2-s_step": (lambda x: cli._cmd_fig2(argparse.Namespace(s_step=x, curves="max", out=None)),
                     "--s-step", "in (0, 1)", 0, 1),
 }
@@ -54,10 +56,12 @@ CHECKS = {
 
 def _bad_values(text, lo, hi):
     # NaN, both infinities, None, and the nearest values outside the range; for an integer
-    # range also a float and a bool that equal integers inside it
+    # range also a float and a bool that equal integers inside it, for a real range an int
+    # past the floats, a str and a complex
     common = [math.nan, math.inf, -math.inf, None]
     if text.startswith("an integer"):
         return common + [lo - 1, hi + 1, 2.0, True]
+    common += [10**400, "0.5", 0.5j]
     if text.startswith("in ["):
         return common + [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
     return common + [float(lo), float(hi)]
@@ -109,10 +113,10 @@ CLI_CASES = [
       "--trials"], "trials", "an integer in [1, 9223372036854775807]", ["0", str(2**63)]),
     (["simulate", "--model", "bernoulli", "--s", "0.5", "--a", "0.6", "--seed"], "seed",
      "an integer in [0, 2**128 - 1]", ["-1", str(2**128)]),
-    (["fig3", "--s-points", "3", "--a-points"], "a_points",
-     "an integer in [2, 9223372036854775805]", ["1", str(2**63 - 2)]),
-    (["fig3", "--a-points", "3", "--s-points"], "s_points",
-     "an integer in [2, 9223372036854775805]", ["-1", str(2**63)]),
+    (["fig3", "--s-points", "3", "--a-points"], "a_points", f"an integer in [2, {GRID_MAX}]",
+     ["1", str(GRID_MAX + 1), str(2**62), str(2**63 - 2)]),
+    (["fig3", "--a-points", "3", "--s-points"], "s_points", f"an integer in [2, {GRID_MAX}]",
+     ["-1", str(GRID_MAX + 1), str(2**63)]),
     (["fig2", "--s-step"], "--s-step", "in (0, 1)", ["nan", "inf", "0", "1", "-0.5"]),
 ]
 
@@ -126,4 +130,23 @@ def test_cli_bad_input_exits_2_with_one_error_line(capsys, argv, name, text, val
     given = int(value) if text.startswith("an integer") else float(value)
     assert rc == 2
     assert err == f"error: {name} must be {text}, got {given!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, name", [("--a-points", "a_points"), ("--s-points", "s_points")])
+def test_fig3_axis_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, flag, name):
+    # an axis numpy cannot allocate (here 1000 points, 1002 with its ends) is named like a bad
+    # size; no real allocation is tried
+    linspace = np.linspace
+
+    def short_of_memory(start, stop, num):
+        if num == 1002:
+            raise MemoryError("Unable to allocate 7.83 KiB for an array")
+        return linspace(start, stop, num)
+
+    monkeypatch.setattr(np, "linspace", short_of_memory)
+    rc = cli.main(["fig3", "--a-points", "3", "--s-points", "3", flag, "1000"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == f"error: {name} must be small enough that its axis fits in memory, got 1000\n"
     assert out == ""

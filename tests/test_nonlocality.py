@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entmix import nonlocality
 from entmix.entanglement import concurrence_xstate, entanglement_of_formation
 from entmix.mixing import _mix, apply_map, mapped_state, xstate_fields
 from entmix.nonlocality import (
@@ -19,7 +20,7 @@ from entmix.nonlocality import (
     lhvt_region,
     region_scan,
 )
-from entmix.states import PrepParams, barrett_state, bell_state, psi_a, validate
+from entmix.states import PrepParams, barrett_state, bell_state, pauli, psi_a, validate
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -104,6 +105,32 @@ def test_chsh_boundary_bisect_is_bit_identical_to_the_full_matrix_loop():
     edges = [1e-6, 0.02, INV_SQRT2, 0.98, 1 - 1e-6]
     for a in np.random.default_rng(2020).uniform(1e-6, 1 - 1e-6, 2000).tolist() + edges:
         assert chsh_boundary_bisect(a) == _reference_chsh_boundary_bisect(a), a
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.4, INV_SQRT2, 1 - 1e-6])
+def test_chsh_boundary_bisect_calls_no_eigen_solver(monkeypatch, a):
+    # T^T T is diagonal on the mapped X states, so the steps square T's diagonal in floats
+    calls = []
+
+    def counted(solver):
+        def counting(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return counting
+
+    for solver in (np.linalg.eigvalsh, np.linalg.eigh):
+        monkeypatch.setattr(np.linalg, solver.__name__, counted(solver))
+    chsh_boundary_bisect(a)
+    assert calls == []
+
+
+def test_chsh_boundary_bisect_rejects_a_state_with_off_diagonal_t(monkeypatch):
+    # (I + sigma_x x sigma_z) / 4 is a valid state with T_xz = 1
+    rho = (np.eye(4) + np.kron(pauli("x"), pauli("z"))) / 4
+    validate(rho)
+    monkeypatch.setattr(nonlocality, "psi_a", lambda a: rho)
+    with pytest.raises(RuntimeError, match=re.escape("not diagonal at a = 0.4")):
+        chsh_boundary_bisect(0.4)
 
 
 def test_chsh_boundary_validation():
