@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _sqrt_psd
 from .mixing import xstate_fields
-from .states import _N_RANGE, PrepParams, _integer, _real, validate
+from .states import _N_RANGE, PrepParams, _check, _integer, _real, validate
 
-# (sigma_y x sigma_y) m (sigma_y x sigma_y) is m reversed on both axes, times these signs
-_FLIP_SIGNS = np.outer((-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, -1.0))
+# (sigma_y x sigma_y) x is x's rows reversed, times these signs
+_YY_ROW_SIGNS = np.array((-1.0, 1.0, 1.0, -1.0))[:, None]
 
 BISECT_TOL = 1e-12   # the bisections stop once their bracket is this narrow
 
@@ -38,22 +37,24 @@ class OptimalPrep:
     ef_max: float
 
 
-def _flip(m):
-    # the spin flip (sigma_y x sigma_y) m* (sigma_y x sigma_y), exact as a signed permutation
-    return _FLIP_SIGNS * m[::-1, ::-1].conj()
-
-
 def wootters_spectrum(rho) -> tuple[float, float, float, float]:
-    """Spectrum of sqrt(rho . rho~), descending, via the Hermitian sqrt(rho) rho~ sqrt(rho)."""
-    m = validate(rho)
-    root = _sqrt_psd(m)
-    prod = root @ _flip(m) @ root
-    w = np.linalg.eigh((prod + prod.conj().T) / 2)[0][::-1]
-    return tuple(np.sqrt(np.maximum(w, 0.0)).tolist())
+    """Spectrum l1 >= l2 >= l3 >= l4 of sqrt(rho . rho~), as the singular values of tau.
+
+    With rho = X X^dag, X = v sqrt(w) from the eigendecomposition validate keeps,
+    tau = X^T (sigma_y x sigma_y) X is symmetric and tau tau^dag has the spectrum
+    of rho rho~ (Wootters, PRL 80, 2245 (1998)).  Singular values carry no square
+    root of round-off, so zero l's stay at the 1e-16 level on rank-deficient states.
+    """
+    w, v = _check(validate(rho).tobytes())   # validate's remembered decomposition
+    x = v * np.sqrt(np.maximum(w, 0.0))
+    return tuple(np.linalg.svd(x.T @ (_YY_ROW_SIGNS * x[::-1]), compute_uv=False).tolist())
 
 
 def concurrence_general(rho) -> float:
-    """Concurrence of an arbitrary two-qubit state: max(0, l1 - l2 - l3 - l4)."""
+    """Concurrence of an arbitrary two-qubit state: max(0, l1 - l2 - l3 - l4).
+
+    The l's are the singular values of Wootters' tau (see wootters_spectrum).
+    """
     l1, l2, l3, l4 = wootters_spectrum(rho)
     return max(0.0, l1 - l2 - l3 - l4)
 

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra kernels for the two-qubit (4x4) route.
+"""Tolerances, input coercion and tensor-product kernels for the two-qubit (4x4) route.
 
-Basis ordering is fixed once and for all: two-qubit matrices are indexed by
-|00>, |01>, |10>, |11> (row-major, first qubit = side A), single-qubit
-matrices by |0>, |1>.  Every closed form in the other modules assumes this
-ordering.
+The route's one eigendecomposition per state is states.validate's, which
+entanglement.wootters_spectrum reuses.  Basis ordering is fixed once and for
+all: two-qubit matrices are indexed by |00>, |01>, |10>, |11> (row-major, first
+qubit = side A), single-qubit matrices by |0>, |1>.  Every closed form in the
+other modules assumes this ordering.
 """
 
 from __future__ import annotations
@@ -35,14 +36,3 @@ def _marginals(a):
     t = a.reshape(2, 2, 2, 2)
     return t[:, 0, :, 0] + t[:, 1, :, 1], t[0, :, 0, :] + t[1, :, 1, :]
 
-
-def _sqrt_psd(a) -> np.ndarray:
-    # Hermitian PSD square root of a matrix already known to be Hermitian.
-    # Eigenvalues in [-PSD_TOL, 0) are round-off and clamped to zero; anything
-    # more negative raises ValueError.
-    w, v = np.linalg.eigh(a)
-    w, v = w[::-1], v[:, ::-1]
-    if w[-1] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue = {w[-1]:.3e}")
-    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return (s + s.conj().T) / 2

@@ -72,7 +72,7 @@ def horodecki_m(rho) -> float:
 
 def chsh_value(rho) -> float:
     """Largest CHSH expectation reachable with optimal measurement settings."""
-    return 2.0 * np.sqrt(horodecki_m(rho))
+    return 2.0 * math.sqrt(horodecki_m(rho))
 
 
 def _horodecki_m_xstate(d1, d2, d3, d4, t):
@@ -90,7 +90,7 @@ def chsh_boundary(a: float) -> float:
     """
     _real("a", a, 0, 1, "()")
     u = a * a * (1.0 - a * a)
-    return ((4.0 * u - 1.0) + np.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u)
+    return ((4.0 * u - 1.0) + math.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u)
 
 
 def chsh_boundary_bisect(a: float) -> float:

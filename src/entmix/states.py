@@ -101,7 +101,9 @@ def validate(rho) -> np.ndarray:
     eigenvalues >= -PSD_TOL.  Raises StateValidationError naming every failed
     check together with the violation magnitude.  The verdict is a pure function
     of the coerced complex128 content, so the last content that passed is kept
-    and the same bytes seen again return at once; a failure is never kept.
+    and the same bytes seen again return at once; a failure is never kept.  Kept
+    with it is the eigendecomposition (w, v) of the Hermitian part that the PSD
+    check took, ascending and read-only: _check(m.tobytes()) returns it at once.
     """
     m = as_matrix(rho)
     _check(m.tobytes())
@@ -109,8 +111,9 @@ def validate(rho) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _check(content: bytes) -> None:
-    # validate's checks on the bytes of a coerced 4x4; returns only when all of them pass
+def _check(content: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # validate's checks on the bytes of a coerced 4x4; when all of them pass, returns the
+    # eigh (w, v) of its Hermitian part, read-only, since the cache hands out the same arrays
     m = np.frombuffer(content, dtype=np.complex128).reshape(4, 4)
     mh = m.conj().T
     violations = []
@@ -121,8 +124,10 @@ def _check(content: bytes) -> None:
     if trace_dev > 1e-9:
         violations.append(("trace", trace_dev))
     if not violations:
-        w = np.linalg.eigvalsh((m + mh) / 2)
+        w, v = np.linalg.eigh((m + mh) / 2)
         if w[0] < -PSD_TOL:
             violations.append(("psd", float(w[0])))
     if violations:
         raise StateValidationError(violations)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v

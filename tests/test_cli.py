@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -95,6 +96,21 @@ def test_bounds_documents_are_byte_identical(capsys, flag, a, survival, survival
             + block("survival", survival, survival_delta) + ",\n"
             + block("chsh", chsh, chsh_delta) + "\n}\n")
     rc, out = run_cli(capsys, "bounds", "--survival", "--chsh", "--a", flag)
+    assert rc == 0
+    assert out == want
+
+
+# whole state documents, as written at version 0.1.0; (0.3, 1.0) delivers a rank-one state
+STATE_DOCUMENTS = [("0.6", "0.5"), ("0.707106781186547", "0.4166666666666667"), ("0", "0.2"),
+                   ("0.3", "1.0"), ("1e-6", "0.5")]
+
+
+@pytest.mark.parametrize("a, s", STATE_DOCUMENTS)
+def test_state_documents_are_byte_identical(capsys, a, s):
+    path = pathlib.Path(__file__).parent / "documents" / f"state_a{a}_s{s}.json"
+    with open(path, encoding="utf-8", newline="") as fh:
+        want = fh.read().replace('"version": "0.1.0"', f'"version": "{cli.__version__}"', 1)
+    rc, out = run_cli(capsys, "state", "--a", a, "--s", s)
     assert rc == 0
     assert out == want
 

@@ -32,9 +32,8 @@ def entropy_oracle(c):
 
 
 def test_concurrence_bell_is_one():
-    # pure-state input: the three zero spin-flip eigenvalues contribute
-    # sqrt-amplified round-off of order 1e-8
-    assert abs(concurrence_general(bell_state()) - 1.0) < 1e-7
+    # pure-state input: the three zero singular values of tau stay at round-off level
+    assert abs(concurrence_general(bell_state()) - 1.0) <= 1e-14
 
 
 def test_concurrence_product_states_are_zero():
@@ -60,7 +59,7 @@ def test_concurrence_closed_form_vs_general_grid():
         for s in np.linspace(0, 1, 26)[1:-1]:
             general = concurrence_general(apply_map(psi_a(a), s))
             closed = concurrence_xstate(PrepParams(a, s))
-            assert abs(general - closed) <= 1e-9
+            assert abs(general - closed) <= 1e-14
 
 
 def test_wootters_spectrum_of_pure_state():
@@ -68,7 +67,7 @@ def test_wootters_spectrum_of_pure_state():
     for a in (0.3, 0.6, INV_SQRT2):
         lam = wootters_spectrum(psi_a(a))
         assert abs(lam[0] - 2 * a * math.sqrt(1 - a * a)) < 1e-10
-        assert all(x < 1e-8 for x in lam[1:])
+        assert all(x <= 1e-15 for x in lam[1:])
         assert sorted(lam, reverse=True) == list(lam)
 
 

@@ -1,13 +1,14 @@
-"""The 4x4 cross-check route: input checks at each public function, and bit
-identity with the plain formulas it replaced (np.kron, np.trace, einsum
-partial traces and copied eigendecompositions), kept here as the reference.
+"""The 4x4 cross-check route: input checks at each public function, bit
+identity with the plain formulas it replaced (np.kron, np.trace and einsum
+partial traces), kept here as the reference, and the concurrence against
+states whose value is known in closed form.
 """
 
 import numpy as np
 import pytest
 
-from entmix import entanglement, mixing, nonlocality, simulate
-from entmix.entanglement import _flip, concurrence_general, wootters_spectrum
+from entmix import entanglement, mixing, nonlocality, simulate, states
+from entmix.entanglement import concurrence_general, concurrence_xstate, wootters_spectrum
 from entmix.linalg import _kron2, _marginals
 from entmix.mixing import _mix, apply_map, mapped_state
 from entmix.nonlocality import (
@@ -19,7 +20,6 @@ from entmix.nonlocality import (
 from entmix.states import PrepParams, StateValidationError, pauli, validate
 
 _SIGMA = [pauli(ax) for ax in "xyz"]
-_YY = np.kron(pauli("y"), pauli("y"))
 
 PUBLIC_4X4 = {
     "apply_map": lambda m: apply_map(m, 0.5),
@@ -97,20 +97,6 @@ def _reference_apply_map(m, s):
     return s * m + (1.0 - s) * np.kron(np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t))
 
 
-def _reference_eig(m):
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def _reference_concurrence(m):
-    w, v = _reference_eig(m)
-    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    root = (s + s.conj().T) / 2
-    prod = root @ (_YY @ m.conj() @ _YY) @ root
-    lam = np.sqrt(np.clip(_reference_eig((prod + prod.conj().T) / 2)[0], 0.0, None))
-    return max(0.0, float(lam[0]) - float(lam[1]) - float(lam[2]) - float(lam[3]))
-
-
 def test_apply_map_is_bit_identical_to_reference():
     for m, s in STATES:
         assert np.array_equal(apply_map(m, s), _reference_apply_map(m, s))
@@ -122,10 +108,40 @@ def test_correlation_matrix_is_bit_identical_to_reference():
             assert np.array_equal(correlation_matrix(rho), _reference_correlation_matrix(rho))
 
 
-def test_concurrence_general_is_bit_identical_to_reference():
-    for m, s in STATES:
-        for rho in (m, _reference_apply_map(m, s)):
-            assert concurrence_general(rho) == _reference_concurrence(rho)
+_BELL = [np.array(v) / np.sqrt(2.0) for v in ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0),
+                                              (0, 1, -1, 0))]
+
+
+def _known_concurrences(n, seed):
+    # (rho, C) with C in closed form, each turned by a random U_A x U_B, which keeps C:
+    # pure states (rank 1), mapped x states (rank 4, and 1 at s = 1), Werner states, and
+    # Bell-diagonal states of ranks 1 to 4
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        u = np.kron(*(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                      for _ in "AB"))
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(u @ psi, (u @ psi).conj())
+        yield pure, 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+        p = PrepParams(float(rng.uniform()), 1.0 if k % 5 == 0 else float(rng.uniform()))
+        yield u @ mapped_state(p) @ u.conj().T, concurrence_xstate(p)
+        q = float(rng.uniform())
+        werner = q * np.outer(_BELL[0], _BELL[0]) + (1.0 - q) * np.eye(4) / 4
+        yield u @ werner @ u.conj().T, max(0.0, (3.0 * q - 1.0) / 2.0)
+        weights = rng.dirichlet(np.ones(k % 4 + 1))
+        bell_diagonal = sum(w * np.outer(b, b) for w, b in zip(weights, _BELL))
+        yield u @ bell_diagonal @ u.conj().T, max(0.0, 2.0 * float(weights.max()) - 1.0)
+
+
+def test_concurrence_general_matches_known_concurrences():
+    # the singular values of tau carry no square root of round-off, so rank-deficient
+    # states are as accurate as full-rank ones
+    ranks = set()
+    for rho, known in _known_concurrences(60, seed=31):
+        ranks.add(int(np.linalg.matrix_rank(rho, tol=1e-10)))
+        assert abs(concurrence_general(rho) - known) <= 1e-14
+    assert ranks == {1, 2, 3, 4}
 
 
 def test_mixing_the_gathered_entries_gives_the_correlation_of_the_mixed_state():
@@ -139,25 +155,29 @@ def test_mixing_the_gathered_entries_gives_the_correlation_of_the_mixed_state():
             assert t.tobytes() == correlation_matrix(_mix(m, s)).tobytes()
 
 
-def test_flip_is_bit_identical_to_the_yy_products():
-    # sigma_y x sigma_y is a signed permutation, so the reversal is exact, signed zeros too
-    mapped = [mapped_state(PrepParams(a, s)) for a, s in ((0.3, 0.6), (0.0, 0.5), (1.0, 1.0))]
-    for m in [m for m, _ in STATES] + [_reference_apply_map(m, s) for m, s in STATES] + mapped:
-        assert _flip(m).tobytes() == (_YY @ m.conj() @ _YY).tobytes()
-
-
-def test_general_route_checks_psd_once_per_state(monkeypatch):
-    # concurrence_general and horodecki_m of one state share validate's remembered verdict
+def test_general_route_decomposes_each_state_once(monkeypatch):
+    # concurrence_general and horodecki_m of one new state: validate's eigh, kept with its
+    # verdict, and the svd of tau are the only 4x4 decompositions
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting(a):
-        calls.append(np.shape(a))
-        return eigvalsh(a)
+    def counting(solver):
+        def wrapped(a, *args, **kwargs):
+            calls.append((solver.__name__, np.shape(a)))
+            return solver(a, *args, **kwargs)
+        return wrapped
 
     validate(np.eye(4, dtype=complex) / 4)   # some other content is remembered
     rho = mapped_state(PrepParams(0.3, 0.6))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for solver in (np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd, np.linalg.eig,
+                   np.linalg.eigvals):
+        monkeypatch.setattr(np.linalg, solver.__name__, counting(solver))
     concurrence_general(rho)
     horodecki_m(rho)
-    assert calls.count((4, 4)) == 1
+    assert sorted(name for name, shape in calls if shape == (4, 4)) == ["eigh", "svd"]
+
+
+def test_remembered_decomposition_is_read_only():
+    w, v = states._check(validate(mapped_state(PrepParams(0.3, 0.6))).tobytes())
+    for a in (w, v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entmix.linalg import _kron2, _marginals, _sqrt_psd
-from entmix.mixing import apply_map
+from entmix.linalg import _kron2, _marginals
 from entmix.simulate import joint_probabilities
 from entmix.states import psi_a, validate
 
@@ -94,35 +93,3 @@ def test_matrix_rejects_wrong_shape():
             with pytest.raises(ValueError, match="4x4"):
                 check(m)
 
-
-def test_sqrt_identity():
-    assert_allclose(_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
-
-
-def test_sqrt_diagonal():
-    assert_allclose(
-        _sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.25])), np.diag([2.0, 1.0, 0.0, 0.5]), atol=1e-12
-    )
-
-
-def test_sqrt_squares_back_to_mapped_state():
-    rho = apply_map(psi_a(0.6), 0.5)
-    root = _sqrt_psd(rho)
-    assert np.max(np.abs(root @ root - rho)) <= 1e-9
-
-
-def test_sqrt_squares_back_on_rank_deficient_states():
-    rng = np.random.default_rng(4)
-    for rank in (1, 2, 3, 1, 2, 3):
-        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        root = _sqrt_psd(m)
-        assert np.max(np.abs(root - root.conj().T)) == 0.0
-        assert np.linalg.eigvalsh(root)[0] >= -1e-12
-        assert np.max(np.abs(root @ root - m)) <= 1e-9
-
-
-def test_sqrt_rejects_material_negativity():
-    with pytest.raises(ValueError, match="PSD"):
-        _sqrt_psd(np.diag([1.0, 1.0, 1.0, -1e-6]))

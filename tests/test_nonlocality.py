@@ -140,6 +140,20 @@ def test_chsh_boundary_validation():
                 boundary(a)
 
 
+def test_chsh_boundary_and_value_are_builtin_floats_with_the_numpy_bits():
+    # math.sqrt and np.sqrt are both correctly rounded, so only the type differs
+    rng = np.random.default_rng(33)
+    for a in [1e-6, 0.4, float(INV_SQRT2), 1 - 1e-6] + rng.uniform(1e-9, 1 - 1e-9, 2000).tolist():
+        u = a * a * (1.0 - a * a)
+        got = chsh_boundary(a)
+        assert type(got) is float
+        assert got == float(((4.0 * u - 1.0) + np.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u))
+    for rho in (bell_state(), barrett_state(), mapped_state(PrepParams(0.6, 0.5))):
+        got = chsh_value(rho)
+        assert type(got) is float
+        assert got == float(2.0 * np.sqrt(horodecki_m(rho)))
+
+
 def test_violation_implies_entanglement():
     rng = np.random.default_rng(32)
     for _ in range(200):
