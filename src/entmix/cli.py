@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 parameter validation error, 3 numeric failure,
 4 statistical self-test failure.  All output is deterministic given the
 flags (plus the seed for ``simulate``); numeric fields carry 12 significant
-digits.
+digits; fig2 and fig3 are written ``_BLOCK_CELLS`` cells (fig2: rows) at a time by ``csvtext``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .nonlocality import (
 from .simulate import SIGMA_THRESHOLD, DeliveryModel, simulate_pair_state
 from .states import PrepParams, _real
 
-# cells fig3 classifies, and rows fig2 computes, at once: their working memory stays
-# bounded whatever the size of the document
-_BLOCK_CELLS = 1 << 15
+# cells fig3 classifies and writes, and rows fig2 computes and writes, at once: their
+# working memory stays bounded whatever the size of the document
+_BLOCK_CELLS = 1 << 13
 
 _FIG2_COLUMNS = {   # fig2's curves, in column order, and their CSV headers
     "max": "EF_max_numeric",
@@ -109,6 +109,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from .csvtext import fig2_text   # only here and in fig3, so no other command loads it
     _real("--s-step", args.s_step, 0, 1, "()")
     n = int(round(1.0 / args.s_step))
     if abs(n * args.s_step - 1.0) > 1e-9:
@@ -133,31 +134,26 @@ def _cmd_fig2(args) -> int:
                 "bell": ef_from_concurrence(c_bell),
                 "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
             }
-            columns = [s_vals.tolist()] + [values[c].tolist() for c in curves]
-            fh.writelines(",".join([format(x, ".12g") for x in row]) + "\n"
-                          for row in zip(*columns))
+            fh.write(fig2_text([s_vals] + [values[c] for c in curves]))
     return 0
 
 
 def _cmd_fig3(args) -> int:
+    from .csvtext import axis_text, fig3_text
     a_vals, s_vals = _grid_axes(args.a_points, args.s_points)   # validates before --out is opened
-    # cells[k, j] is the text of cell j with flag code k = entangled<<2 | chsh<<1 | lhvt, "@"
-    # standing for the row's a, and a %-slot for its EF, or a literal 0 where the EF is +0.0
-    # (not entangled): one join, replace and % over the entangled EFs make a row
-    flags = [f"{'%.12g' if e else 0},{e},{c},{h}\n" for e in (0, 1) for c in (0, 1) for h in (0, 1)]
-    s_cols = [format(s, ".12g") for s in s_vals.tolist()]
-    cells = np.array([[f"@,{s},{f}" for s in s_cols] for f in flags], dtype=object)
-    cols = np.arange(len(s_cols))
-    rows = max(1, _BLOCK_CELLS // len(s_cols))
+    try:
+        s_text = axis_text(s_vals, _BLOCK_CELLS)
+    except MemoryError:
+        raise ValueError("--s-points must be small enough that its column text fits in memory, "
+                         f"got {args.s_points!r}") from None
+    rows, cols = max(1, _BLOCK_CELLS // len(s_vals)), min(len(s_vals), _BLOCK_CELLS)
     with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
-        for i in range(0, len(a_vals), rows):
+        for i in range(0, len(a_vals), rows):   # a block of rows, or of one row's columns
             a_block = a_vals[i:i + rows]
-            ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, :])
-            code = (entangled.astype(np.uint8) << 2) | (chsh.astype(np.uint8) << 1) | lhvt
-            for a, ef_row, ent_row, code_row in zip(a_block.tolist(), ef, entangled, code):
-                row = "".join(cells[code_row, cols].tolist()).replace("@", format(a, ".12g"))
-                fh.write(row % tuple(ef_row[ent_row].tolist()))
+            for j in range(0, len(s_vals), cols):
+                ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, j:j + cols])
+                fh.write(fig3_text(a_block, s_text[j:j + cols], ef, entangled, chsh, lhvt))
     return 0
 
 

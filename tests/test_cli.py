@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import entmix.cli as cli
+from entmix import csvtext
+from entmix.entanglement import (concurrence_raw, ef_from_concurrence, ef_max_asymptotic,
+                                 max_concurrence)
 from entmix.nonlocality import _classify, region_scan
 
 
@@ -193,6 +200,81 @@ def test_fig2_bell_column_is_exact(capsys):
             if float(S) >= 0.5 and ef_bell != ef_max] == []
 
 
+def text12(x):
+    # fig2's and fig3's text of each value, NULs dropped
+    rows = csvtext.text12(np.asarray(x, dtype=float)).view(np.uint8).reshape(-1, 24)
+    return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
+
+
+TEXT12_EDGES = (
+    [0.0, 1.0] + [10.0**j for j in range(-5, 12)]
+    # where %g turns from exponent to fixed form, and rounds up across it
+    + [9.99999999999949e-05, 9.9999999999995e-05, 9.99999999999949, 9.9999999999995]
+    # exact binary ties at the 12th digit, and values a hair from one
+    + [100000000000.5, 100000000001.5, 1000000000005000.0, 1000000000015000.0,
+       0.1234567890125, 0.5000000000005]
+    # subnormals, the smallest normal, and the table's ends
+    + [5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-33,
+       9.99999999999e-34, 9.999999999994, 1.7976931348623157e308]
+    + [-0.0, -0.25, float("inf"), float("-inf"), float("nan")]
+)
+
+
+def test_text12_is_format_12g():
+    rng = np.random.default_rng(20261020)
+    with np.errstate(under="ignore"):   # exp of the lowest draws is subnormal or 0
+        seeded = np.exp(rng.uniform(np.log(5e-324), np.log(1e12), 200_000))
+    x = np.concatenate([seeded, rng.uniform(0.0, 1.0, 50_000), TEXT12_EDGES])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = text12(x)
+    want = [format(v, ".12g") for v in x.tolist()]
+    assert [(v, g) for v, g, w in zip(x.tolist(), got, want) if g != w] == []
+
+
+def test_text12_leaves_doubtful_values_to_format(monkeypatch):
+    # format is called for exactly the values numpy could print otherwise: not positive
+    # and finite, outside 1e-33 <= x < 10, or with a mantissa within 1e-3 of a rounding tie
+    # or rounding up to 13 digits
+    calls = []
+
+    def counted(x, spec):
+        calls.append(x)
+        return format(x, spec)
+
+    monkeypatch.setattr(csvtext, "format", counted, raising=False)
+    doubtful = [0.0, -0.0, -0.25, float("inf"), float("nan"), 10.0, 123.5, 100000000000.5,
+                9.99999999999e-34, 5e-324, 0.1234567890125, 9.99999999999949e-05]
+    plain = [1e-33, 0.25, 1 / 3, 9.5, 1e-5, 0.000123, 9.99999999999e-05]
+    got = text12(plain + doubtful)
+    assert [repr(v) for v in calls] == [repr(v) for v in doubtful]
+    assert got == [format(v, ".12g") for v in plain + doubtful]
+
+
+def fig2_reference(s_step):
+    # the document row by row, every curve: one format call per number
+    n = int(round(1.0 / s_step))
+    s = np.linspace(s_step, 1.0, n)
+    c_max = max_concurrence(s)
+    c_bell = np.where(s < 0.5, np.clip((s - 0.5) + s / 2.0, 0.0, None), c_max)
+    columns = [s, ef_from_concurrence(c_max), ef_max_asymptotic(s), ef_from_concurrence(c_bell),
+               ef_from_concurrence(np.clip(concurrence_raw(0.1, s), 0.0, None))]
+    lines = ["S,EF_max_numeric,EF_asymptotic,EF_bell,EF_a0.1"]
+    lines += [",".join(format(float(x), ".12g") for x in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def test_fig2_bytes_match_per_row_reference(capsys, tmp_path):
+    want = fig2_reference(1e-4).encode()
+    rc, out = run_cli(capsys, "fig2", "--s-step", "1e-4")
+    assert rc == 0
+    assert out.encode() == want
+    out_file = tmp_path / "fig2.csv"
+    rc, _ = run_cli(capsys, "fig2", "--s-step", "1e-4", "--out", str(out_file))
+    assert rc == 0
+    assert out_file.read_bytes() == want
+
+
 def test_fig2_rejects_bad_step(capsys):
     rc, _ = run_cli(capsys, "fig2", "--s-step", "0.3")
     assert rc == 2
@@ -239,6 +321,21 @@ def test_fig3_stdout_matches_file(capsys, tmp_path):
     assert out == out_file.read_text()
 
 
+@pytest.mark.parametrize("argv", [["fig2", "--s-step", "0.01"],
+                                  ["fig3", "--a-points", "6", "--s-points", "7"]],
+                         ids=["fig2", "fig3"])
+def test_stream_without_buffer_gets_the_same_text(capsys, tmp_path, argv):
+    # a text stream with no binary buffer behind it gets the text of the --out file
+    out_file = tmp_path / "doc.csv"
+    assert cli.main(argv + ["--out", str(out_file)]) == 0
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        rc = cli.main(argv)
+    assert rc == 0
+    assert stream.getvalue() == out_file.read_text()
+    assert capsys.readouterr().out == ""
+
+
 def fig3_reference(a_points, s_points):
     # the document cell by cell: one format call per number, str(int(flag)) per flag
     grid = region_scan(a_points, s_points)
@@ -260,6 +357,8 @@ def fig3_reference(a_points, s_points):
     pytest.param(11, 10, 50, id="11-10-block50"),
     pytest.param(7, 50, 50, id="7-50-block50"),
     pytest.param(4, 61, 50, id="4-61-block50"),
+    # rows longer than a block are split into blocks of columns: 50, 50 and 20
+    pytest.param(3, 120, 50, id="3-120-block50"),
 ])
 def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, monkeypatch,
                                              a_points, s_points, block_cells):
@@ -287,7 +386,7 @@ def traced_peak(fn):
 
 
 def test_fig3_memory_beyond_the_scan_is_one_row(tmp_path):
-    # the document (about 7 MB here) is written row by row, never held whole
+    # the document (about 7 MB here) is written a block of cells at a time, never held whole
     out_file = str(tmp_path / "fig3.csv")
     scan_peak = traced_peak(lambda: region_scan(400, 400))
     fig3_peak = traced_peak(
@@ -321,6 +420,57 @@ def test_fig2_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     fig2(2000)   # first-call allocations (lazy imports, caches) would inflate the first peak
     peaks = [traced_peak(lambda: fig2(rows)) for rows in (2000, 20000)]
     assert peaks[1] <= 1.5 * peaks[0] + 8 * 20000, peaks
+
+
+def peak_rss_mb(argv):
+    # the child's own peak resident set, from os.wait4 (ru_maxrss is in KB on Linux)
+    child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_fig3_peak_rss_is_bounded_along_s(tmp_path):
+    # a row of 100000 cells is written in blocks of columns: the peak is the interpreter's
+    # own plus the S axis and its column text, 26 B a column (about 35 MB against 29 MB for
+    # the import alone, on Python 3.11 and numpy 2.4); every cell's text held as one row's
+    # strings took it to 128 MB
+    baseline = peak_rss_mb(["-c", "import entmix.cli"])
+    peak = peak_rss_mb(["-m", "entmix.cli", "fig3", "--a-points", "2", "--s-points", "100000",
+                        "--out", str(tmp_path / "fig3.csv")])
+    assert peak <= baseline + 10, (peak, baseline)
+
+
+def test_only_fig2_and_fig3_load_csvtext():
+    # the other commands never load the block text code or build its tables
+    code = ("import sys, entmix.cli as cli; cli.main(%r); print('entmix.csvtext' in sys.modules)")
+    for argv, loaded in ((["bounds", "--eisert", "--n", "4"], "False"),
+                         (["fig3", "--a-points", "2", "--s-points", "2"], "True")):
+        out = subprocess.run([sys.executable, "-c", code % argv], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split()[-1] == loaded, (argv, out)
+
+
+def test_fig3_column_text_out_of_memory_exits_2(capsys, monkeypatch, tmp_path):
+    # an allocator that fails for the S column text, as a huge --s-points would
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == 4099:
+            raise MemoryError
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out_file = tmp_path / "fig3.csv"
+    rc = cli.main(["fig3", "--a-points", "2", "--s-points", "4099", "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ("error: --s-points must be small enough that its column text fits in "
+                   "memory, got 4099\n")
+    assert out == ""
+    assert not out_file.exists()
 
 
 def test_region_scan_is_its_row_blocks_stacked():
