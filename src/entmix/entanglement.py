@@ -21,6 +21,7 @@ from .states import _N_RANGE, PrepParams, _check, _integer, _real, validate
 _YY_ROW_SIGNS = np.array((-1.0, 1.0, 1.0, -1.0))[:, None]
 
 BISECT_TOL = 1e-12   # the bisections stop once their bracket is this narrow
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def survival_threshold(a: float) -> float:
     With w = a sqrt(1 - a^2), the concurrence is positive iff s > w / (1 + w).
     Undefined at a = 0 or 1 where the prepared state is never entangled.
     """
-    _real("a", a, 0, 1, "()")
+    a = _real("a", a, 0, 1, "()")
     w = a * math.sqrt(1.0 - a * a)
     return w / (1.0 + w)
 
@@ -102,7 +103,7 @@ def _bisect(above):
 
 def survival_threshold_bisect(a: float) -> float:
     """Threshold bisected on the unclamped concurrence to a 1e-12 bracket (BISECT_TOL)."""
-    _real("a", a, 0, 1, "()")
+    a = _real("a", a, 0, 1, "()")
     return _bisect(lambda s: concurrence_raw(a, s) > 0.0)
 
 
@@ -114,18 +115,27 @@ def ef_from_concurrence(c):
     log2(x) as log1p(-(1 - x)) / ln 2, so nothing cancels as c -> 0 and the
     result keeps full relative precision down to the smallest concurrences
     (where E_F ~ (c^2 / 4) [log2(4 / c^2) + 1 / ln 2]).  E_F(0) is +0.0; a NaN c gives NaN.
+
+    A float stays a float: math.sqrt and max replace np.sqrt and np.maximum, which
+    round alike.  The two logarithms stay numpy's, made floats, since math.log1p and
+    math.log differ from numpy's vectorised loops in the last bit on some inputs, and a
+    scalar E_F must have the bits of the same cell of an array call (fig2, fig3).
     """
-    y = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))))
     # y log y -> 0 at y = 0, read as 0 log 1; adding +0.0 turns the -0.0 there into +0.0
-    h = -((1.0 - y) * np.log1p(-y) + y * np.log(y + (y == 0.0))) / math.log(2.0)
-    return h + 0.0
+    if isinstance(c, np.ndarray):
+        y = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))))
+        log1p, log = np.log1p(-y), np.log(y + (y == 0.0))
+    else:
+        y = c * c / (2.0 * (1.0 + math.sqrt(max(1.0 - c * c, 0.0))))
+        log1p, log = float(np.log1p(-y)), float(np.log(y + (y == 0.0)))
+    return -((1.0 - y) * log1p + y * log) / _LN2 + 0.0
 
 
 def entanglement_of_formation(c: float) -> float:
     """Entanglement of formation in bits for a two-qubit concurrence c in [0, 1]."""
     if not math.isfinite(c) or c < -1e-12 or c > 1.0 + 1e-12:
         raise ValueError(f"concurrence must be in [0, 1], got {c}")
-    return float(ef_from_concurrence(min(max(c, 0.0), 1.0)))
+    return ef_from_concurrence(min(max(float(c), 0.0), 1.0))
 
 
 def _a_from_w(w: float) -> float:
@@ -157,7 +167,7 @@ def optimize_prep(s: float) -> OptimalPrep:
     a^2 = 2 w*^2 / (1 + sqrt(1 - 4 w*^2)).  It tends to s/2 as s -> 0, from
     above by a relative s / (1 - s), and equals 1/sqrt(2) from s = 1/2 on.
     """
-    _real("s", s, 0, 1)
+    s = _real("s", s, 0, 1)
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
     a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)

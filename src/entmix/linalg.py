@@ -17,12 +17,10 @@ PSD_TOL = 1e-8      # eigenvalues below -PSD_TOL are a genuine PSD violation
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 4x4 complex array, all entries finite."""
+    """Coerce to a 4x4 complex array; states.validate checks that its entries are finite."""
     a = np.asarray(m, dtype=np.complex128)
     if a.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     return a
 
 

@@ -50,7 +50,7 @@ def fidelity(p: PrepParams) -> float:
     entangled preparations degrade fastest.
     """
     a2 = p.a * p.a
-    return 1.0 - 3.0 * a2 * (1.0 - p.s) * (1.0 - a2)
+    return float(1.0 - 3.0 * a2 * (1.0 - p.s) * (1.0 - a2))
 
 
 def mapped_state(p: PrepParams) -> np.ndarray:

@@ -88,7 +88,7 @@ def chsh_boundary(a: float) -> float:
     Closed form in u = a^2 (1 - a^2): s* = (4u - 1 + sqrt(3 - 4u)) / (1 + 4u);
     equals 1/sqrt(2) at a = 1/sqrt(2) and rises towards sqrt(3) - 1 as a -> 0.
     """
-    _real("a", a, 0, 1, "()")
+    a = _real("a", a, 0, 1, "()")
     u = a * a * (1.0 - a * a)
     return ((4.0 * u - 1.0) + math.sqrt(3.0 - 4.0 * u)) / (1.0 + 4.0 * u)
 
@@ -105,7 +105,7 @@ def chsh_boundary_bisect(a: float) -> float:
     diagonal matrix returns its entries exactly.  So a step forms the three T_ii in floats,
     in _pair_sums's pairing, and M is the sum of the two largest squares, bit for bit.
     """
-    _real("a", a, 0, 1, "()")
+    a = _real("a", a, 0, 1, "()")
     rho = psi_a(a)   # a is checked above, and psi_a builds a valid state
     x1, x0 = map(_gather, (rho, _kron2(*_marginals(rho))))
     off = ~np.eye(3, dtype=bool)
@@ -187,8 +187,10 @@ def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
 
 def lhvt_region(p: PrepParams) -> bool:
     """True where the witness decomposition exists and entanglement survives."""
-    d1, d2, d3, d4, t = map(float, xstate_fields(p.a, p.s))
-    return _lhvt_of_fields(d1, d2, d3, d4, t, bool(_concurrence_of_fields(d2, d3, t) > 0.0))
+    d1, d2, d3, d4, t = xstate_fields(p.a, p.s)
+    # False on a separable cell, before the witness is built; bool() for numpy-scalar fields
+    return bool(_concurrence_of_fields(d2, d3, t) > 0.0
+                and _lhvt_of_fields(d1, d2, d3, d4, t, True))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ _N_RANGE = (2, 2**1024 - 2**970 - 1, "2**1024 - 2**970 - 1")
 
 
 def _real(name, x, lo, hi, ends="[]"):
-    # reject x unless a finite real from lo to hi, in the closed "[]" or the open "()" interval;
+    # x as a float if a finite real from lo to hi, in the closed "[]" or the open "()" interval;
     # math.isfinite raises TypeError on None, a str or a complex, OverflowError past the floats
     try:
         if math.isfinite(x) and (lo <= x <= hi if ends == "[]" else lo < x < hi):
-            return
+            return float(x)
     except (TypeError, OverflowError):
         pass
     raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {x!r}")
@@ -65,11 +65,11 @@ class StateValidationError(ValueError):
 
 def psi_a(a: float) -> np.ndarray:
     """Projector onto the pure state a|00> + sqrt(1-a^2)|11>."""
-    _real("a", a, 0, 1)
-    ket = np.zeros(4, dtype=np.complex128)
-    ket[0] = a
-    ket[3] = np.sqrt(1.0 - a * a)
-    return np.outer(ket, ket.conj())
+    a = _real("a", a, 0, 1)
+    b = math.sqrt(1.0 - a * a)
+    m = np.zeros((4, 4), dtype=np.complex128)   # np.outer of the ket, without its overhead
+    m[0, 0], m[0, 3], m[3, 0], m[3, 3] = a * a, a * b, a * b, b * b
+    return m
 
 
 def bell_state() -> np.ndarray:
@@ -97,13 +97,14 @@ def pauli(axis: str) -> np.ndarray:
 def validate(rho) -> np.ndarray:
     """Check the density-matrix invariants and return the state as an array.
 
-    Requires Hermiticity within HERM_TOL, unit trace within 1e-9 and all
-    eigenvalues >= -PSD_TOL.  Raises StateValidationError naming every failed
-    check together with the violation magnitude.  The verdict is a pure function
-    of the coerced complex128 content, so the last content that passed is kept
-    and the same bytes seen again return at once; a failure is never kept.  Kept
-    with it is the eigendecomposition (w, v) of the Hermitian part that the PSD
-    check took, ascending and read-only: _check(m.tobytes()) returns it at once.
+    Requires finite entries, then Hermiticity within HERM_TOL, unit trace within
+    1e-9 and all eigenvalues >= -PSD_TOL.  A non-finite entry raises ValueError;
+    otherwise StateValidationError names every failed check together with the
+    violation magnitude.  The verdict is a pure function of the coerced complex128
+    content, so the last content that passed is kept and the same bytes seen again
+    return at once, finiteness included; a failure is never kept.  Kept with it is
+    the eigendecomposition (w, v) of the Hermitian part that the PSD check took,
+    ascending and read-only: _check(m.tobytes()) returns it at once.
     """
     m = as_matrix(rho)
     _check(m.tobytes())
@@ -112,12 +113,15 @@ def validate(rho) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _check(content: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # validate's checks on the bytes of a coerced 4x4; when all of them pass, returns the
-    # eigh (w, v) of its Hermitian part, read-only, since the cache hands out the same arrays
+    # validate's checks on the bytes of a coerced 4x4, finiteness first; when all of them
+    # pass, returns the eigh (w, v) of its Hermitian part, read-only, since the cache hands
+    # out the same arrays
     m = np.frombuffer(content, dtype=np.complex128).reshape(4, 4)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     mh = m.conj().T
     violations = []
-    herm_dev = float(np.max(np.abs(m - mh)))
+    herm_dev = float(abs(m - mh).max())
     if herm_dev > HERM_TOL:
         violations.append(("hermiticity", herm_dev))
     trace_dev = abs(complex(m.trace()) - 1.0)

@@ -122,6 +122,27 @@ def test_state_documents_are_byte_identical(capsys, a, s):
     assert out == want
 
 
+# bounds --eisert documents as written at version 0.1.0: n, s, ef_max, lower_bound
+EISERT_DOCUMENTS = [
+    ("2", "0.5", "0.117618873771", "0.235237747542"),
+    ("3", "0.333333333333", "0.0184502360171", "0.0553507080512"),
+    ("7", "0.142857142857", "0.00057496556812", "0.00402475897684"),
+    ("1000", "0.001", "2.83710545792e-12", "2.83710545792e-09"),
+    ("10000", "0.0001", "3.66281102593e-16", "3.66281102593e-12"),
+]
+
+
+@pytest.mark.parametrize("n, s, ef_max, lower_bound", EISERT_DOCUMENTS)
+def test_eisert_documents_are_byte_identical(capsys, n, s, ef_max, lower_bound):
+    want = (f'{{\n  "version": "{cli.__version__}",\n  "config": {{\n'
+            f'    "command": "bounds",\n    "n": {n}\n  }},\n'
+            f'  "eisert": {{\n    "n": {n},\n    "s": {s},\n    "ef_max": {ef_max},\n'
+            f'    "lower_bound": {lower_bound}\n  }}\n}}\n')
+    rc, out = run_cli(capsys, "bounds", "--eisert", "--n", n)
+    assert rc == 0
+    assert out == want
+
+
 def test_bounds_eisert(capsys):
     rc, out = run_cli(capsys, "bounds", "--eisert", "--n", "2")
     doc = json.loads(out)

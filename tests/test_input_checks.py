@@ -9,13 +9,15 @@ import pytest
 
 import entmix.cli as cli
 from entmix.entanglement import (
+    concurrence_xstate,
     eisert_lower_bound,
+    entanglement_of_formation,
     optimize_prep,
     survival_threshold,
     survival_threshold_bisect,
 )
-from entmix.mixing import apply_map
-from entmix.nonlocality import chsh_boundary, chsh_boundary_bisect, region_scan
+from entmix.mixing import apply_map, fidelity
+from entmix.nonlocality import chsh_boundary, chsh_boundary_bisect, lhvt_region, region_scan
 from entmix.simulate import DeliveryModel, permutation_effective_s, simulate_pair_state
 from entmix.states import PrepParams, bell_state, psi_a
 
@@ -150,3 +152,30 @@ def test_fig3_axis_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, f
     assert rc == 2
     assert err == f"error: {name} must be small enough that its axis fits in memory, got 1000\n"
     assert out == ""
+
+
+# scalar entry point: result for an x in (0, 1), whose type must not depend on x's type
+SCALAR_RESULTS = {
+    "survival_threshold": survival_threshold,
+    "survival_threshold_bisect": survival_threshold_bisect,
+    "chsh_boundary": chsh_boundary,
+    "chsh_boundary_bisect": chsh_boundary_bisect,
+    "entanglement_of_formation": entanglement_of_formation,
+    "optimize_prep.s": lambda x: optimize_prep(x).s,
+    "optimize_prep.a_star": lambda x: optimize_prep(x).a_star,
+    "optimize_prep.c_max": lambda x: optimize_prep(x).c_max,
+    "optimize_prep.ef_max": lambda x: optimize_prep(x).ef_max,
+    "concurrence_xstate": lambda x: concurrence_xstate(PrepParams(0.7, x)),
+    "fidelity": lambda x: fidelity(PrepParams(0.7, x)),
+    "lhvt_region": lambda x: lhvt_region(PrepParams(0.7, x)),   # True at x = 0.36 only
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_RESULTS)
+def test_numpy_scalar_input_gives_the_builtin_result(entry):
+    call = SCALAR_RESULTS[entry]
+    kind = bool if entry == "lhvt_region" else float
+    for x in (0.05, 0.36, 0.6, 0.9):
+        want, got = call(x), call(np.float64(x))
+        assert type(want) is kind and type(got) is kind, (x, type(want), type(got))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x

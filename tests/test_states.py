@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,6 +45,15 @@ def test_psi_a_intermediate_entries():
     assert_allclose(
         [rho[0, 0], rho[3, 3], rho[0, 3], rho[3, 0]], [0.36, 0.64, 0.48, 0.48], atol=1e-15
     )
+
+
+def test_psi_a_matches_the_outer_product_byte_for_byte():
+    # psi_a writes its four nonzero entries into zeros; np.outer's bytes, signed zeros included
+    amplitudes = np.random.default_rng(20261020).uniform(size=500).tolist()
+    for a in amplitudes + [0.0, 1.0, 1.0 / math.sqrt(2.0), 5e-324]:
+        ket = np.zeros(4, dtype=np.complex128)
+        ket[0], ket[3] = a, np.sqrt(1.0 - a * a)
+        assert psi_a(a).tobytes() == np.outer(ket, ket.conj()).tobytes(), a
 
 
 def test_psi_a_is_pure():
