@@ -12,7 +12,6 @@ Monte Carlo simulator validating the map's predictions.
 __version__ = "0.1.0"
 
 from .entanglement import (
-    OptimalPrep,
     concurrence_general,
     concurrence_raw,
     concurrence_xstate,
@@ -26,8 +25,6 @@ from .entanglement import (
 )
 from .mixing import apply_map, fidelity, mapped_state
 from .nonlocality import (
-    LhvtWitness,
-    RegionMap,
     chsh_boundary,
     chsh_boundary_bisect,
     chsh_value,
@@ -39,7 +36,6 @@ from .nonlocality import (
 )
 from .simulate import (
     DeliveryModel,
-    SimReport,
     estimate_concurrence,
     joint_probabilities,
     permutation_effective_s,

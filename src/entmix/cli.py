@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -58,13 +59,8 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if not np.isfinite(x) else float(format(x, ".12g"))
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(format(obj, ".12g"))
     return obj
 
 
@@ -89,7 +85,7 @@ def _emit_json(command: str, params: dict, out: str | None, payload: dict) -> No
 def _cmd_state(args) -> int:
     p = PrepParams(a=args.a, s=args.s)
     rho = mapped_state(p)
-    *d, t = map(float, xstate_fields(p.a, p.s))
+    *d, t = xstate_fields(p.a, p.s)
     c = concurrence_xstate(p)
     _emit_json(
         "state",
@@ -110,15 +106,15 @@ def _cmd_state(args) -> int:
 
 def _cmd_fig2(args) -> int:
     from .csvtext import fig2_text   # only here and in fig3, so no other command loads it
-    _real("--s-step", args.s_step, 0, 1, "()")
-    n = int(round(1.0 / args.s_step))
-    if abs(n * args.s_step - 1.0) > 1e-9:
+    step = _real("--s-step", args.s_step, 0, 1, "()")
+    n = round(1.0 / step)
+    if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"--s-step must divide 1 evenly, got {args.s_step}")
     curves = [c.strip() for c in args.curves.split(",") if c.strip()]
     if not curves or not set(curves) <= _FIG2_COLUMNS.keys():
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
     curves = [c for c in _FIG2_COLUMNS if c in curves]
-    s_grid = np.linspace(args.s_step, 1.0, n)
+    s_grid = np.linspace(step, 1.0, n)
     with _sink(args.out) as fh:
         fh.write(",".join(["S"] + [_FIG2_COLUMNS[c] for c in curves]) + "\n")
         for i in range(0, n, _BLOCK_CELLS):   # every curve is elementwise in S

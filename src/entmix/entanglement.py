@@ -78,7 +78,7 @@ def _concurrence_of_fields(d2, d3, t):
 
 def concurrence_xstate(p: PrepParams) -> float:
     """Closed-form concurrence of the mapped prepared state, clamped at zero."""
-    return max(0.0, float(concurrence_raw(p.a, p.s)))
+    return max(0.0, concurrence_raw(p.a, p.s))
 
 
 def survival_threshold(a: float) -> float:
@@ -133,9 +133,8 @@ def ef_from_concurrence(c):
 
 def entanglement_of_formation(c: float) -> float:
     """Entanglement of formation in bits for a two-qubit concurrence c in [0, 1]."""
-    if not math.isfinite(c) or c < -1e-12 or c > 1.0 + 1e-12:
-        raise ValueError(f"concurrence must be in [0, 1], got {c}")
-    return ef_from_concurrence(min(max(float(c), 0.0), 1.0))
+    c = _real("c", c, -1e-12, 1.0 + 1e-12)   # round-off past [0, 1] is clamped
+    return ef_from_concurrence(min(max(c, 0.0), 1.0))
 
 
 def _a_from_w(w: float) -> float:
@@ -185,9 +184,10 @@ def ef_max_asymptotic(s):
     optimum obeys (1 - s)^2 <= asymptote / optimum <= 1, up to a relative
     O(C*^2 log(1/C*)) correction; the gap to 1 is about 2 s.
     """
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s) & (s > 0.0) & (s <= 1.0)):
+    s = np.asarray(s)
+    if s.dtype.kind not in "iuf" or not np.all(np.isfinite(s) & (s > 0.0) & (s <= 1.0)):
         raise ValueError(f"success probability s must be in (0, 1], got {s}")
+    s = s.astype(float, copy=False)
     return s**4 / 4.0 * (np.log2(1.0 / s) + 1.0 + 1.0 / (4.0 * math.log(2.0)))
 
 
@@ -199,5 +199,5 @@ def eisert_lower_bound(n: int) -> float:
     information is negative for every a.  The paper's abstract does not say
     which bound it means by this number.
     """
-    _integer("n", n, *_N_RANGE)
-    return float(n) * optimize_prep(1.0 / float(n)).ef_max
+    n = _integer("n", n, *_N_RANGE)
+    return n * optimize_prep(1.0 / n).ef_max

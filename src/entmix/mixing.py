@@ -22,8 +22,7 @@ from .states import PrepParams, _real, psi_a, validate
 
 def apply_map(rho, s: float) -> np.ndarray:
     """Mix a two-qubit state with the product of its own marginals, weight 1 - s."""
-    _real("s", s, 0, 1)
-    return _mix(validate(rho), s)
+    return _mix(validate(rho), _real("s", s, 0, 1))
 
 
 def _mix(m, s):
@@ -50,7 +49,7 @@ def fidelity(p: PrepParams) -> float:
     entangled preparations degrade fastest.
     """
     a2 = p.a * p.a
-    return float(1.0 - 3.0 * a2 * (1.0 - p.s) * (1.0 - a2))
+    return 1.0 - 3.0 * a2 * (1.0 - p.s) * (1.0 - a2)
 
 
 def mapped_state(p: PrepParams) -> np.ndarray:

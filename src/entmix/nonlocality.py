@@ -162,7 +162,7 @@ def lhvt_decompose(p: PrepParams) -> LhvtWitness:
     c = (24/5) t is the only weight that leaves a diagonal remainder.  The
     remainder (d - c b) / (1 - c) must be entrywise non-negative.
     """
-    *d, t = map(float, xstate_fields(p.a, p.s))
+    *d, t = xstate_fields(p.a, p.s)
     c, remainders, c_ok = _witness(d, t)
     sep = tuple(remainders)
     violated = [] if c_ok else ["c_range"]
@@ -188,9 +188,8 @@ def _lhvt_of_fields(d1, d2, d3, d4, t, entangled):
 def lhvt_region(p: PrepParams) -> bool:
     """True where the witness decomposition exists and entanglement survives."""
     d1, d2, d3, d4, t = xstate_fields(p.a, p.s)
-    # False on a separable cell, before the witness is built; bool() for numpy-scalar fields
-    return bool(_concurrence_of_fields(d2, d3, t) > 0.0
-                and _lhvt_of_fields(d1, d2, d3, d4, t, True))
+    # False on a separable cell, before the witness is built
+    return _concurrence_of_fields(d2, d3, t) > 0.0 and _lhvt_of_fields(d1, d2, d3, d4, t, True)
 
 
 @dataclass(frozen=True)
@@ -211,9 +210,8 @@ class RegionMap:
 def _grid_axes(a_points: int, s_points: int):
     # the a and s coordinates of the uniform interior grid, after checking both sizes; an
     # axis that finds no memory is named too
-    sizes = {"a_points": a_points, "s_points": s_points}
-    for name, points in sizes.items():
-        _integer(name, points, 2, _MAX_GRID_POINTS)
+    sizes = {name: _integer(name, points, 2, _MAX_GRID_POINTS)
+             for name, points in (("a_points", a_points), ("s_points", s_points))}
     axes = []
     for name, points in sizes.items():
         try:

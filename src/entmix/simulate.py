@@ -57,25 +57,24 @@ class DeliveryModel:
     s: float | None = None
     n: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self):   # stores s or n as its check returns it
         if self.kind == "bernoulli":
-            _real("s", self.s, 0, 1)
+            object.__setattr__(self, "s", _real("s", self.s, 0, 1))
         elif self.kind == "permutation":
-            _integer("n", self.n, *_N_RANGE)
+            object.__setattr__(self, "n", _integer("n", self.n, *_N_RANGE))
         else:
             raise ValueError(f"model kind must be 'bernoulli' or 'permutation', got {self.kind!r}")
 
     @property
     def effective_s(self) -> float:
         if self.kind == "bernoulli":
-            return float(self.s)
+            return self.s
         return permutation_effective_s(self.n)
 
 
 def permutation_effective_s(n: int) -> float:
     """Fixed-point probability of a uniform permutation of n shipments: exactly 1/n."""
-    _integer("n", n, *_N_RANGE)
-    return 1.0 / float(n)
+    return 1.0 / _integer("n", n, *_N_RANGE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +108,9 @@ def joint_probabilities(rho, setting: str) -> np.ndarray:
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
     m = validate(rho)
-    va = _EIGVECS[setting[0]]
-    vb = _EIGVECS[setting[1]]
-    p = np.empty(4)
-    for i in range(2):
-        for j in range(2):
-            ket = np.kron(va[:, i], vb[:, j])
-            p[2 * i + j] = max(float(np.vdot(ket, m @ ket).real), 0.0)
-    return p
+    # row 2i + j is the product of A's eigenvector i and B's eigenvector j
+    kets = np.kron(_EIGVECS[setting[0]], _EIGVECS[setting[1]]).T.copy()
+    return np.array([max(float(np.vdot(ket, m @ ket).real), 0.0) for ket in kets])
 
 
 def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) -> SimReport:
@@ -142,8 +136,9 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     seed : int
         Philox key; runs with equal arguments are bit-identical.
     """
-    _integer("trials", trials, 1, np.iinfo(np.int64).max)   # the most numpy's samplers take
-    _integer("seed", seed, 0, 2**128 - 1, "2**128 - 1")
+    a = _real("a", a, 0, 1)
+    trials = _integer("trials", trials, 1, np.iinfo(np.int64).max)   # the most samplers take
+    seed = _integer("seed", seed, 0, 2**128 - 1, "2**128 - 1")
 
     rho_pure = psi_a(a)
     # the marginal of either side is diag(a^2, 1 - a^2): (+, -) probabilities
@@ -173,9 +168,9 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
     return SimReport(
         model=model.kind,
         effective_s=s_eff,
-        a=float(a),
-        trials=int(trials),
-        seed=int(seed),
+        a=a,
+        trials=trials,
+        seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         basis_settings=SETTINGS,
         outcome_labels=OUTCOME_LABELS,

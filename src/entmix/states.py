@@ -1,4 +1,8 @@
-"""Constructors and validation for the two-qubit states of the delivery model."""
+"""Input checks, and constructors and validation for the two-qubit states of the delivery model.
+
+_real and _integer return the number they checked as a builtin float or int, and every caller
+stores or computes on that: a numpy scalar of any width gives the result of the builtin number.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_TOL, as_matrix
+# validate's tolerances
+HERM_TOL = 1e-9     # max |m - m^dag| accepted as Hermitian
+PSD_TOL = 1e-8      # eigenvalues below -PSD_TOL are a genuine PSD violation
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -32,26 +38,26 @@ def _real(name, x, lo, hi, ends="[]"):
 
 
 def _integer(name, x, lo, hi, hi_text=None):
-    # reject x unless an int or a numpy integer, not a bool, in [lo, hi]
+    # x as an int if an int or a numpy integer, not a bool, in [lo, hi]
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi_text or hi}], got {x!r}")
+    return int(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrepParams:
     """Preparation amplitude ``a`` and delivery success probability ``s``.
 
     ``a`` parametrizes the prepared pure state a|00> + sqrt(1-a^2)|11>;
     ``s`` is the probability that a customer pair receives its intended,
-    still-correlated qubits.  Both live in [0, 1].
+    still-correlated qubits.  Both live in [0, 1], and are stored as builtin floats.
     """
 
     a: float
     s: float
 
-    def __post_init__(self):
-        _real("a", self.a, 0, 1)
-        _real("s", self.s, 0, 1)
+    def __init__(self, a, s):   # frozen: the fields are set here only
+        self.__dict__.update(a=_real("a", a, 0, 1), s=_real("s", s, 0, 1))
 
 
 class StateValidationError(ValueError):
@@ -90,23 +96,26 @@ def pauli(axis: str) -> np.ndarray:
     """Standard Pauli matrix for axis 'x', 'y' or 'z'."""
     try:
         return _PAULI[axis].copy()
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: an unhashable axis
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
 def validate(rho) -> np.ndarray:
-    """Check the density-matrix invariants and return the state as an array.
+    """Coerce rho to a 4x4 complex128 array, check the density-matrix invariants and return it.
 
-    Requires finite entries, then Hermiticity within HERM_TOL, unit trace within
-    1e-9 and all eigenvalues >= -PSD_TOL.  A non-finite entry raises ValueError;
-    otherwise StateValidationError names every failed check together with the
-    violation magnitude.  The verdict is a pure function of the coerced complex128
+    A shape other than 4x4 raises ValueError.  Requires finite entries, then
+    Hermiticity within HERM_TOL, unit trace within 1e-9 and all eigenvalues
+    >= -PSD_TOL.  A non-finite entry raises ValueError; otherwise
+    StateValidationError names every failed check together with the violation
+    magnitude.  The verdict is a pure function of the coerced complex128
     content, so the last content that passed is kept and the same bytes seen again
     return at once, finiteness included; a failure is never kept.  Kept with it is
     the eigendecomposition (w, v) of the Hermitian part that the PSD check took,
     ascending and read-only: _check(m.tobytes()) returns it at once.
     """
-    m = as_matrix(rho)
+    m = np.asarray(rho, dtype=np.complex128)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     _check(m.tobytes())
     return m
 

@@ -10,6 +10,7 @@ import pytest
 import entmix.cli as cli
 from entmix.entanglement import (
     concurrence_xstate,
+    ef_max_asymptotic,
     eisert_lower_bound,
     entanglement_of_formation,
     optimize_prep,
@@ -17,9 +18,15 @@ from entmix.entanglement import (
     survival_threshold_bisect,
 )
 from entmix.mixing import apply_map, fidelity
-from entmix.nonlocality import chsh_boundary, chsh_boundary_bisect, lhvt_region, region_scan
+from entmix.nonlocality import (
+    chsh_boundary,
+    chsh_boundary_bisect,
+    lhvt_decompose,
+    lhvt_region,
+    region_scan,
+)
 from entmix.simulate import DeliveryModel, permutation_effective_s, simulate_pair_state
-from entmix.states import PrepParams, bell_state, psi_a
+from entmix.states import PrepParams, bell_state, pauli, psi_a
 
 N_MAX = 2**1024 - 2**970 - 1   # the largest n with a float(n)
 GRID_MAX = np.iinfo(np.intp).max // 8 - 2   # the float64s numpy can hold, less an axis's 2 ends
@@ -32,6 +39,8 @@ CHECKS = {
     "psi_a": (psi_a, "a", "in [0, 1]", 0, 1),
     "apply_map": (lambda x: apply_map(bell_state(), x), "s", "in [0, 1]", 0, 1),
     "optimize_prep": (optimize_prep, "s", "in [0, 1]", 0, 1),
+    "entanglement_of_formation": (entanglement_of_formation, "c",   # round-off past [0, 1]
+                                  "in [-1e-12, 1.000000000001]", -1e-12, 1 + 1e-12),
     "survival_threshold": (survival_threshold, "a", "in (0, 1)", 0, 1),
     "survival_threshold_bisect": (survival_threshold_bisect, "a", "in (0, 1)", 0, 1),
     "chsh_boundary": (chsh_boundary, "a", "in (0, 1)", 0, 1),
@@ -79,6 +88,20 @@ def test_bad_input_raises_naming_parameter_range_and_value(entry, x):
     with pytest.raises(ValueError) as exc:
         call(x)
     assert str(exc.value) == f"{name} must be {text}, got {x!r}"
+
+
+@pytest.mark.parametrize("s", ["0.5", 0.5j, 10**400, True, [0.5, "0.5"]],
+                         ids=lambda s: repr(s)[:20])
+def test_ef_max_asymptotic_takes_integers_and_floats_only(s):
+    with pytest.raises(ValueError, match=r"^success probability s must be in \(0, 1\], got "):
+        ef_max_asymptotic(s)
+
+
+@pytest.mark.parametrize("axis", ["w", ["x"], None, 0], ids=repr)
+def test_pauli_rejects_other_axes(axis):
+    with pytest.raises(ValueError) as exc:
+        pauli(axis)
+    assert str(exc.value) == f"axis must be one of 'x', 'y', 'z', got {axis!r}"
 
 
 def test_checked_inputs_accept_their_edges():
@@ -154,7 +177,12 @@ def test_fig3_axis_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, f
     assert out == ""
 
 
-# scalar entry point: result for an x in (0, 1), whose type must not depend on x's type
+def _witness_fields(w):
+    return (w.c, *w.sep_diag, w.feasible, w.boundary_degenerate)
+
+
+# scalar entry point: result, or tuple of results, for an x in (0, 1), whose types and bits must
+# depend on x's value only
 SCALAR_RESULTS = {
     "survival_threshold": survival_threshold,
     "survival_threshold_bisect": survival_threshold_bisect,
@@ -168,14 +196,29 @@ SCALAR_RESULTS = {
     "concurrence_xstate": lambda x: concurrence_xstate(PrepParams(0.7, x)),
     "fidelity": lambda x: fidelity(PrepParams(0.7, x)),
     "lhvt_region": lambda x: lhvt_region(PrepParams(0.7, x)),   # True at x = 0.36 only
+    "lhvt_decompose": lambda x: _witness_fields(lhvt_decompose(PrepParams(0.7, x))),
+    "PrepParams": lambda x: (PrepParams(x, 0.5).a, PrepParams(0.5, x).s),
+    "DeliveryModel": lambda x: (DeliveryModel("bernoulli", s=x).s,
+                                DeliveryModel("bernoulli", s=x).effective_s),
+    "simulate_pair_state.a": lambda x: simulate_pair_state(BERNOULLI, x, 10, 1).a,
 }
 
 
 @pytest.mark.parametrize("entry", SCALAR_RESULTS)
 def test_numpy_scalar_input_gives_the_builtin_result(entry):
+    # a numpy float of any width gives the call on the builtin float of its value, bit for bit
     call = SCALAR_RESULTS[entry]
-    kind = bool if entry == "lhvt_region" else float
     for x in (0.05, 0.36, 0.6, 0.9):
-        want, got = call(x), call(np.float64(x))
-        assert type(want) is kind and type(got) is kind, (x, type(want), type(got))
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+        for width in (np.float16, np.float32, np.float64, np.longdouble):
+            want, got = call(float(width(x))), call(width(x))
+            want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+            for w, g in zip(want, got):
+                assert type(w) in (float, bool) and type(g) is type(w), (x, width, type(w), type(g))
+                assert np.float64(g).tobytes() == np.float64(w).tobytes(), (x, width)
+
+
+def test_numpy_integer_input_gives_the_builtin_int():
+    for width in (np.int16, np.int32, np.int64, np.uint64):
+        assert type(DeliveryModel("permutation", n=width(7)).n) is int
+        report = simulate_pair_state(BERNOULLI, 0.5, width(10), width(1))
+        assert type(report.trials) is int and type(report.seed) is int

@@ -234,3 +234,17 @@ def test_concurrence_estimate_converges():
     est2, se2 = estimate_concurrence(r2)
     assert abs(est2 - concurrence_raw(0.6, 0.25)) <= 3 * se2
     assert max(0.0, est2) == concurrence_xstate(PrepParams(0.6, 0.25))
+
+
+def test_concurrence_estimate_of_a_pure_state_has_the_correlator_error_only():
+    # at s = 1 no zz outcome +- or -+ occurs, so the diagonal adds no error and the standard
+    # error is the xx and yy correlators' alone
+    n = 100_000
+    r = simulate_pair_state(DeliveryModel("bernoulli", s=1.0), a=0.6, trials=n, seed=3)
+    zz = r.freq[r.basis_settings.index("zz")]
+    assert zz[1] == 0.0 and zz[2] == 0.0
+    est, se = estimate_concurrence(r)
+    assert abs(est - 2 * 0.6 * np.sqrt(1 - 0.6**2)) <= 4 * se
+    sign = np.array([1.0, -1.0, -1.0, 1.0])
+    exx, eyy = (float(r.freq[r.basis_settings.index(s)] @ sign) for s in ("xx", "yy"))
+    assert se == pytest.approx(2 * np.sqrt(((1 - exx**2) + (1 - eyy**2)) / (16 * n)), rel=1e-12)
