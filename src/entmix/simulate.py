@@ -57,11 +57,11 @@ class DeliveryModel:
     s: float | None = None
     n: int | None = None
 
-    def __post_init__(self):   # stores s or n as its check returns it
+    def __post_init__(self):   # frozen: s or n is stored here as its check returns it
         if self.kind == "bernoulli":
-            object.__setattr__(self, "s", _real("s", self.s, 0, 1))
+            self.__dict__["s"] = _real("s", self.s, 0, 1)
         elif self.kind == "permutation":
-            object.__setattr__(self, "n", _integer("n", self.n, *_N_RANGE))
+            self.__dict__["n"] = _integer("n", self.n, *_N_RANGE)
         else:
             raise ValueError(f"model kind must be 'bernoulli' or 'permutation', got {self.kind!r}")
 

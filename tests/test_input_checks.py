@@ -181,39 +181,42 @@ def _witness_fields(w):
     return (w.c, *w.sep_diag, w.feasible, w.boundary_degenerate)
 
 
-# scalar entry point: result, or tuple of results, for an x in (0, 1), whose types and bits must
-# depend on x's value only
+# scalar entry point: (call, type of its result or of each element of its tuple) for an x in
+# (0, 1); the types and bits of the results must depend on x's value only
 SCALAR_RESULTS = {
-    "survival_threshold": survival_threshold,
-    "survival_threshold_bisect": survival_threshold_bisect,
-    "chsh_boundary": chsh_boundary,
-    "chsh_boundary_bisect": chsh_boundary_bisect,
-    "entanglement_of_formation": entanglement_of_formation,
-    "optimize_prep.s": lambda x: optimize_prep(x).s,
-    "optimize_prep.a_star": lambda x: optimize_prep(x).a_star,
-    "optimize_prep.c_max": lambda x: optimize_prep(x).c_max,
-    "optimize_prep.ef_max": lambda x: optimize_prep(x).ef_max,
-    "concurrence_xstate": lambda x: concurrence_xstate(PrepParams(0.7, x)),
-    "fidelity": lambda x: fidelity(PrepParams(0.7, x)),
-    "lhvt_region": lambda x: lhvt_region(PrepParams(0.7, x)),   # True at x = 0.36 only
-    "lhvt_decompose": lambda x: _witness_fields(lhvt_decompose(PrepParams(0.7, x))),
-    "PrepParams": lambda x: (PrepParams(x, 0.5).a, PrepParams(0.5, x).s),
-    "DeliveryModel": lambda x: (DeliveryModel("bernoulli", s=x).s,
-                                DeliveryModel("bernoulli", s=x).effective_s),
-    "simulate_pair_state.a": lambda x: simulate_pair_state(BERNOULLI, x, 10, 1).a,
+    "survival_threshold": (survival_threshold, float),
+    "survival_threshold_bisect": (survival_threshold_bisect, float),
+    "chsh_boundary": (chsh_boundary, float),
+    "chsh_boundary_bisect": (chsh_boundary_bisect, float),
+    "entanglement_of_formation": (entanglement_of_formation, float),
+    "optimize_prep.s": (lambda x: optimize_prep(x).s, float),
+    "optimize_prep.a_star": (lambda x: optimize_prep(x).a_star, float),
+    "optimize_prep.c_max": (lambda x: optimize_prep(x).c_max, float),
+    "optimize_prep.ef_max": (lambda x: optimize_prep(x).ef_max, float),
+    "concurrence_xstate": (lambda x: concurrence_xstate(PrepParams(0.7, x)), float),
+    "fidelity": (lambda x: fidelity(PrepParams(0.7, x)), float),
+    "lhvt_region": (lambda x: lhvt_region(PrepParams(0.7, x)), bool),   # True at x = 0.36 only
+    "lhvt_decompose": (lambda x: _witness_fields(lhvt_decompose(PrepParams(0.7, x))),
+                       (float, float, float, float, float, bool, bool)),
+    "PrepParams": (lambda x: (PrepParams(x, 0.5).a, PrepParams(0.5, x).s), (float, float)),
+    "DeliveryModel": (lambda x: (DeliveryModel("bernoulli", s=x).s,
+                                 DeliveryModel("bernoulli", s=x).effective_s), (float, float)),
+    "simulate_pair_state.a": (lambda x: simulate_pair_state(BERNOULLI, x, 10, 1).a, float),
 }
 
 
 @pytest.mark.parametrize("entry", SCALAR_RESULTS)
 def test_numpy_scalar_input_gives_the_builtin_result(entry):
     # a numpy float of any width gives the call on the builtin float of its value, bit for bit
-    call = SCALAR_RESULTS[entry]
+    call, kinds = SCALAR_RESULTS[entry]
+    if not isinstance(kinds, tuple):
+        call, kinds = (lambda x, f=call: (f(x),)), (kinds,)
     for x in (0.05, 0.36, 0.6, 0.9):
         for width in (np.float16, np.float32, np.float64, np.longdouble):
             want, got = call(float(width(x))), call(width(x))
-            want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
-            for w, g in zip(want, got):
-                assert type(w) in (float, bool) and type(g) is type(w), (x, width, type(w), type(g))
+            assert len(want) == len(got) == len(kinds), (x, width)
+            for kind, w, g in zip(kinds, want, got):
+                assert type(w) is kind and type(g) is kind, (x, width, kind, type(w), type(g))
                 assert np.float64(g).tobytes() == np.float64(w).tobytes(), (x, width)
 
 
