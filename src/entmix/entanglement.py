@@ -24,7 +24,7 @@ BISECT_TOL = 1e-12   # the bisections stop once their bracket is this narrow
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OptimalPrep:
     """Best preparation amplitude for a given success probability.
 
@@ -36,6 +36,9 @@ class OptimalPrep:
     a_star: float | None
     c_max: float
     ef_max: float
+
+    def __init__(self, s, a_star, c_max, ef_max):   # frozen: the fields are set here only
+        self.__dict__.update(s=s, a_star=a_star, c_max=c_max, ef_max=ef_max)
 
 
 def wootters_spectrum(rho) -> tuple[float, float, float, float]:
@@ -171,7 +174,9 @@ def optimize_prep(s: float) -> OptimalPrep:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
     a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)
     c_max = max_concurrence(s)
-    return OptimalPrep(s=s, a_star=a_star, c_max=c_max, ef_max=entanglement_of_formation(c_max))
+    # max_concurrence of a checked s lies in [0, 1]: entanglement_of_formation's check and
+    # clamps would change nothing
+    return OptimalPrep(s, a_star, c_max, ef_from_concurrence(c_max))
 
 
 def ef_max_asymptotic(s):

@@ -50,7 +50,8 @@ class DeliveryModel:
 
     kind 'bernoulli' needs a per-pair success probability ``s``; kind
     'permutation' needs the number of customer pairs ``n`` (>= 2), which
-    induces an effective success probability of 1/n.
+    induces an effective success probability of 1/n.  The field the kind does
+    not use must stay None.
     """
 
     kind: str
@@ -64,6 +65,10 @@ class DeliveryModel:
             self.__dict__["n"] = _integer("n", self.n, *_N_RANGE)
         else:
             raise ValueError(f"model kind must be 'bernoulli' or 'permutation', got {self.kind!r}")
+        unused = "n" if self.kind == "bernoulli" else "s"
+        if getattr(self, unused) is not None:
+            raise ValueError(f"model kind {self.kind!r} takes no {unused}, "
+                             f"got {getattr(self, unused)!r}")
 
     @property
     def effective_s(self) -> float:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from entmix.entanglement import (
+    OptimalPrep,
     concurrence_general,
     concurrence_raw,
     concurrence_xstate,
@@ -249,6 +251,28 @@ def test_optimizer_small_s_argmax():
 def test_optimizer_reports_ef_of_c_max():
     opt = optimize_prep(0.3)
     assert abs(opt.ef_max - entropy_oracle(opt.c_max)) < 1e-12
+    # ef_max skips entanglement_of_formation's check and clamps, so it must equal the checked
+    # call exactly, also at the edges of [0, 1] and of the two branches of max_concurrence
+    rng = np.random.default_rng(35)
+    edges = [0.0, 5e-324, 1e-300, 0.5, 0.49999988811789187, math.nextafter(0.5, 0), 1.0]
+    for s in rng.random(10_000).tolist() + (10.0 ** rng.uniform(-300, 0, 10_000)).tolist() + edges:
+        opt = optimize_prep(s)
+        assert opt.ef_max == entanglement_of_formation(opt.c_max), s
+
+
+def test_optimal_prep_is_a_frozen_dataclass():
+    opt = optimize_prep(0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opt.ef_max = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del opt.s
+    assert opt == optimize_prep(0.3) and hash(opt) == hash(optimize_prep(0.3))
+    assert opt != optimize_prep(0.4) and optimize_prep(0.0) == optimize_prep(0)
+    assert repr(opt) == ("OptimalPrep(s=0.3, a_star=0.2196498316579696, c_max=0.0642857142857143, "
+                         "ef_max=0.011748029348921354)")
+    moved = dataclasses.replace(opt, s=0.25)
+    assert moved == OptimalPrep(0.25, opt.a_star, opt.c_max, opt.ef_max) and opt.s == 0.3
+    assert repr(optimize_prep(0.0)) == "OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)"
 
 
 def test_optimizer_degenerate_s_zero():

@@ -158,6 +158,20 @@ def test_cli_bad_input_exits_2_with_one_error_line(capsys, argv, name, text, val
     assert out == ""
 
 
+@pytest.mark.parametrize("model, given, unused, value", [
+    (["bernoulli", "--s", "0.5"], ["--n", "4"], "n", 4),
+    (["permutation", "--n", "4"], ["--s", "7.0"], "s", 7.0),
+    (["permutation", "--n", "4"], ["--s", "0.5"], "s", 0.5)],
+    ids=["bernoulli --n 4", "permutation --s 7.0", "permutation --s 0.5"])
+def test_cli_flag_of_the_other_model_exits_2_with_one_error_line(capsys, model, given, unused,
+                                                                  value):
+    rc = cli.main(["simulate", "--model", *model, *given, "--a", "0.6", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == f"error: model kind {model[0]!r} takes no {unused}, got {value!r}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag, name", [("--a-points", "a_points"), ("--s-points", "s_points")])
 def test_fig3_axis_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, flag, name):
     # an axis numpy cannot allocate (here 1000 points, 1002 with its ends) is named like a bad

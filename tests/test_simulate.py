@@ -55,6 +55,11 @@ def test_delivery_model_validation():
         DeliveryModel("permutation", n=1)
     with pytest.raises(ValueError):
         DeliveryModel("postal", s=0.5)
+    # the field the kind does not use is refused, not stored unchecked
+    with pytest.raises(ValueError, match=r"^model kind 'bernoulli' takes no n, got 'x'$"):
+        DeliveryModel("bernoulli", s=0.5, n="x")
+    with pytest.raises(ValueError, match=r"^model kind 'permutation' takes no s, got 7\.0$"):
+        DeliveryModel("permutation", n=4, s=7.0)
 
 
 def test_effective_s():
