@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parameter validation error, 3 numeric failure,
 4 statistical self-test failure.  All output is deterministic given the
 flags (plus the seed for ``simulate``); numeric fields carry 12 significant
-digits; fig2 and fig3 are written ``_BLOCK_CELLS`` cells (fig2: rows) at a time by ``csvtext``.
+digits; fig2 and fig3 are set ``_BLOCK_CELLS`` cells (fig2: rows) at a time in one block
+buffer per document, which ``csvtext`` reuses for every block and writes in pieces.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ def _sink(out: str | None):
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"--out must be writable, got {out!r}: {exc.strerror}") from None
+        with fh:
             yield fh
 
 
@@ -105,18 +110,23 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    from .csvtext import fig2_text   # only here and in fig3, so no other command loads it
+    from .csvtext import fig2_writer   # only here and in fig3, so no other command loads it
     step = _real("--s-step", args.s_step, 0, 1, "()")
-    n = round(1.0 / step)
+    try:   # 1/step overflows below 5.6e-309, and numpy sizes no grid past an intp
+        n = round(1.0 / step)
+        s_grid = np.linspace(step, 1.0, n)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError("--s-step must be large enough that its S grid fits in memory, "
+                         f"got {args.s_step!r}") from None
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"--s-step must divide 1 evenly, got {args.s_step}")
     curves = [c.strip() for c in args.curves.split(",") if c.strip()]
     if not curves or not set(curves) <= _FIG2_COLUMNS.keys():
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
     curves = [c for c in _FIG2_COLUMNS if c in curves]
-    s_grid = np.linspace(step, 1.0, n)
     with _sink(args.out) as fh:
         fh.write(",".join(["S"] + [_FIG2_COLUMNS[c] for c in curves]) + "\n")
+        write = fig2_writer(fh, min(n, _BLOCK_CELLS), 1 + len(curves))
         for i in range(0, n, _BLOCK_CELLS):   # every curve is elementwise in S
             s_vals = s_grid[i:i + _BLOCK_CELLS]
             c_max = max_concurrence(s_vals)
@@ -130,12 +140,12 @@ def _cmd_fig2(args) -> int:
                 "bell": ef_from_concurrence(c_bell),
                 "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
             }
-            fh.write(fig2_text([s_vals] + [values[c] for c in curves]))
+            write([s_vals] + [values[c] for c in curves])
     return 0
 
 
 def _cmd_fig3(args) -> int:
-    from .csvtext import axis_text, fig3_text
+    from .csvtext import axis_text, fig3_writer
     a_vals, s_vals = _grid_axes(args.a_points, args.s_points)   # validates before --out is opened
     try:
         s_text = axis_text(s_vals, _BLOCK_CELLS)
@@ -145,11 +155,13 @@ def _cmd_fig3(args) -> int:
     rows, cols = max(1, _BLOCK_CELLS // len(s_vals)), min(len(s_vals), _BLOCK_CELLS)
     with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
+        write = fig3_writer(fh, s_text, min(rows, len(a_vals)), cols)
         for i in range(0, len(a_vals), rows):   # a block of rows, or of one row's columns
             a_block = a_vals[i:i + rows]
             for j in range(0, len(s_vals), cols):
+                # held until the next block's are made, so glibc reuses its heap, not trims it
                 ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, j:j + cols])
-                fh.write(fig3_text(a_block, s_text[j:j + cols], ef, entangled, chsh, lhvt))
+                write(a_block, j, ef, entangled, chsh, lhvt)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""fig2's and fig3's CSV text: a block of lines, each of NUL-padded fields, less its NULs."""
+"""fig2's and fig3's CSV text: each document's lines of NUL-padded fields, set a block at a time
+in one buffer it reuses, and written in pieces less their NULs."""
 
 import numpy as np
 
@@ -31,6 +32,7 @@ def _float_tables():
 
 
 _TABLE, _DIGITS, _KEPT_TO, _POW10 = _float_tables()   # built when fig2 or fig3 imports this
+_PIECE_BYTES = 1 << 16   # under glibc's 128 KiB mmap threshold: a piece's copies reuse the heap
 
 
 def text12(x):
@@ -65,20 +67,39 @@ def axis_text(values, chunk):
     return text
 
 
-def fig2_text(columns):
-    """fig2's lines for a block of rows, from its columns: 1-d float arrays of one length."""
-    block = np.empty((len(columns[0]), len(columns)), [("text", "S24"), ("end", "S1")])
-    block["end"] = [b","] * (len(columns) - 1) + [b"\n"]
-    for k, v in enumerate(columns):
-        block["text"][:, k] = text12(v)
-    return block.tobytes().translate(None, b"\0").decode("ascii")
+def _write(fh, block):
+    """Write a block's text to fh less its NULs, _PIECE_BYTES at a time, never as one string."""
+    raw = block.reshape(-1).view(np.uint8)
+    for i in range(0, len(raw), _PIECE_BYTES):
+        fh.write(raw[i:i + _PIECE_BYTES].tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def fig3_text(a, s_text, ef, entangled, chsh, lhvt):
-    """fig3's lines for a block of cells: its rows' a, axis_text of its S, _classify's results."""
-    block = np.zeros(ef.shape, [("a", "S18"), ("s", "S18"), ("ef", "S24"), ("flags", "S8")])
-    block["a"] = axis_text(a, len(a))[:, None]
-    block["s"] = s_text
-    block["ef"][entangled] = text12(ef[entangled])
-    block["flags"] = _FIG3_FLAGS.take(entangled * 4 + chsh * 2 + lhvt)
-    return block.tobytes().translate(None, b"\0").decode("ascii")
+def fig2_writer(fh, rows, width):
+    """fig2's write(columns): the lines of up to ``rows`` rows, from ``width`` float columns."""
+    block = np.empty((rows, width), [("text", "S24"), ("end", "S1")])
+    block["end"] = [b","] * (width - 1) + [b"\n"]
+
+    def write(columns):
+        lines = block[:len(columns[0])]
+        for k, v in enumerate(columns):
+            lines["text"][:, k] = text12(v)
+        _write(fh, lines)
+    return write
+
+
+def fig3_writer(fh, s_text, rows, cols):
+    """fig3's write(a, j, *_classify's results): the lines of up to ``rows`` rows of a by
+    ``cols`` columns of S from column j; s_text is axis_text of all of S."""
+    block = np.empty((rows, cols), [("a", "S18"), ("s", "S18"), ("ef", "S24"), ("flags", "S8")])
+    block["s"] = s_text[:cols]   # each block's, unless rows are split into blocks of columns
+
+    def write(a, j, ef, entangled, chsh, lhvt):
+        cells = block[:len(a), :ef.shape[1]]
+        if cols < len(s_text):
+            cells["s"] = s_text[j:j + cols]
+        cells["a"] = axis_text(a, len(a))[:, None]
+        cells["ef"] = b""   # a separable cell's EF is empty, whatever the last block held
+        cells["ef"][entangled] = text12(ef[entangled])
+        cells["flags"] = _FIG3_FLAGS.take(entangled * 4 + chsh * 2 + lhvt)
+        _write(fh, cells)
+    return write

@@ -303,14 +303,19 @@ def test_fig2_rejects_bad_step(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("piece_bytes", [None, 997], ids=["piece-default", "piece997"])
 @pytest.mark.parametrize("block_cells", [7, 1000, 4093, 9999])
-def test_fig2_blocks_are_bit_identical_to_one_block(capsys, monkeypatch, block_cells):
+def test_fig2_blocks_are_bit_identical_to_one_block(capsys, monkeypatch, block_cells,
+                                                    piece_bytes):
     # every curve is elementwise in S, so a block of rows computes as the same rows of
-    # the whole grid; 9999 leaves a last block of one row
+    # the whole grid; 9999 leaves a last block of one row.  997-byte pieces split the
+    # 125-byte lines, and the fields, unevenly
     argv = ["fig2", "--s-step", "1e-4"]
     monkeypatch.setattr(cli, "_BLOCK_CELLS", 10**4)
     _, want = run_cli(capsys, *argv)
     monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+    if piece_bytes is not None:
+        monkeypatch.setattr(csvtext, "_PIECE_BYTES", piece_bytes)
     rc, out = run_cli(capsys, *argv)
     assert rc == 0
     assert out == want
@@ -369,23 +374,29 @@ def fig3_reference(a_points, s_points):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("a_points, s_points, block_cells", [
-    pytest.param(37, 23, None, id="37-23"),
-    pytest.param(2, 2, None, id="2-2"),
+@pytest.mark.parametrize("a_points, s_points, block_cells, piece_bytes", [
+    pytest.param(37, 23, None, None, id="37-23"),
+    pytest.param(2, 2, None, None, id="2-2"),
     # 50-cell blocks: 5 rows each, filling 2 blocks exactly, then one row over; one row
     # each, as the row fills a block or is longer than one
-    pytest.param(10, 10, 50, id="10-10-block50"),
-    pytest.param(11, 10, 50, id="11-10-block50"),
-    pytest.param(7, 50, 50, id="7-50-block50"),
-    pytest.param(4, 61, 50, id="4-61-block50"),
+    pytest.param(10, 10, 50, None, id="10-10-block50"),
+    pytest.param(11, 10, 50, None, id="11-10-block50"),
+    pytest.param(7, 50, 50, None, id="7-50-block50"),
+    pytest.param(4, 61, 50, None, id="4-61-block50"),
     # rows longer than a block are split into blocks of columns: 50, 50 and 20
-    pytest.param(3, 120, 50, id="3-120-block50"),
+    pytest.param(3, 120, 50, None, id="3-120-block50"),
+    # pieces that split the 68-byte lines, and the 3400-byte blocks, unevenly
+    pytest.param(37, 23, None, 997, id="37-23-piece997"),
+    pytest.param(11, 10, 50, 1000, id="11-10-block50-piece1000"),
+    pytest.param(3, 120, 50, 997, id="3-120-block50-piece997"),
 ])
 def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, monkeypatch,
-                                             a_points, s_points, block_cells):
+                                             a_points, s_points, block_cells, piece_bytes):
     # a non-square grid catches swapped a and S axes
     if block_cells is not None:
         monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+    if piece_bytes is not None:
+        monkeypatch.setattr(csvtext, "_PIECE_BYTES", piece_bytes)
     want = fig3_reference(a_points, s_points).encode()
     argv = ["fig3", "--a-points", str(a_points), "--s-points", str(s_points)]
     rc, out = run_cli(capsys, *argv)
@@ -395,6 +406,23 @@ def test_fig3_bytes_match_per_cell_reference(capsys, tmp_path, monkeypatch,
     rc, _ = run_cli(capsys, *argv, "--out", str(out_file))
     assert rc == 0
     assert out_file.read_bytes() == want
+
+
+def test_fig3_documents_back_to_back_share_no_block_text(capsys, tmp_path, monkeypatch):
+    # each document owns its block buffer: one written after another, of another shape, in the
+    # same process, matches its own reference on stdout and in its --out file
+    for a_points, s_points, block_cells in ((10, 10, 50), (3, 120, 50), (37, 23, 1 << 13),
+                                            (10, 10, 50)):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+        want = fig3_reference(a_points, s_points).encode()
+        argv = ["fig3", "--a-points", str(a_points), "--s-points", str(s_points)]
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        assert out.encode() == want, (a_points, s_points)
+        out_file = tmp_path / f"fig3-{a_points}-{s_points}.csv"
+        rc, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert rc == 0
+        assert out_file.read_bytes() == want, (a_points, s_points)
 
 
 def traced_peak(fn):
@@ -443,13 +471,17 @@ def test_fig2_memory_does_not_grow_with_rows(monkeypatch, tmp_path):
     assert peaks[1] <= 1.5 * peaks[0] + 8 * 20000, peaks
 
 
-def peak_rss_mb(argv):
-    # the child's own peak resident set, from os.wait4 (ru_maxrss is in KB on Linux)
+def child_usage(argv):
+    # the child's own resource usage, from os.wait4
     child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     assert child.returncode == 0
-    return usage.ru_maxrss / 1024
+    return usage
+
+
+def peak_rss_mb(argv):
+    return child_usage(argv).ru_maxrss / 1024   # ru_maxrss is in KB on Linux
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
@@ -462,6 +494,17 @@ def test_fig3_peak_rss_is_bounded_along_s(tmp_path):
     peak = peak_rss_mb(["-m", "entmix.cli", "fig3", "--a-points", "2", "--s-points", "100000",
                         "--out", str(tmp_path / "fig3.csv")])
     assert peak <= baseline + 10, (peak, baseline)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's allocator, Linux's fault counts")
+def test_fig3_page_faults_stay_near_the_import(tmp_path):
+    # 123 blocks of 8000 cells reuse one block buffer and write in pieces under glibc's mmap
+    # threshold: about 0.5k minor faults past the import's (4.6k), against 33k when each
+    # block's ~0.5 MB of text was mapped and faulted in anew (Python 3.11, numpy 2.4)
+    baseline = child_usage(["-c", "import entmix.cli, entmix.csvtext"]).ru_minflt
+    faults = child_usage(["-m", "entmix.cli", "fig3", "--a-points", "1000", "--s-points", "1000",
+                          "--out", str(tmp_path / "fig3.csv")]).ru_minflt
+    assert faults - baseline < 15_000, (faults, baseline)
 
 
 def test_only_fig2_and_fig3_load_csvtext():

@@ -191,6 +191,59 @@ def test_fig3_axis_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, f
     assert out == ""
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+def test_fig2_step_too_fine_for_a_grid_exits_2_naming_the_flag(capsys, tmp_path, step):
+    # 1/5e-324 overflows to inf, and 1e300 rows exceed what numpy can size; both fail at once,
+    # before --out is opened
+    out_file = tmp_path / "fig2.csv"
+    rc = cli.main(["fig2", "--s-step", step, "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == (f"error: --s-step must be large enough that its S grid fits in memory, "
+                   f"got {float(step)!r}\n")
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_fig2_grid_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, tmp_path):
+    # --s-step 1e-12 asks for 1e12 rows (8 TB); the allocator fails as it would, and no real
+    # allocation is tried
+    linspace = np.linspace
+
+    def short_of_memory(start, stop, num):
+        if num == 10**12:
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        return linspace(start, stop, num)
+
+    monkeypatch.setattr(np, "linspace", short_of_memory)
+    out_file = tmp_path / "fig2.csv"
+    rc = cli.main(["fig2", "--s-step", "1e-12", "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ("error: --s-step must be large enough that its S grid fits in memory, "
+                   "got 1e-12\n")
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--a", "0.6", "--s", "0.5"],
+    ["fig2"],
+    ["fig3", "--a-points", "3", "--s-points", "3"],
+    ["simulate", "--model", "bernoulli", "--s", "0.5", "--a", "0.6", "--trials", "10",
+     "--seed", "1"],
+    ["bounds", "--eisert", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_opened_exits_2_naming_the_flag(capsys, tmp_path, argv):
+    doc = tmp_path / "missing" / "doc"
+    rc = cli.main(argv + ["--out", str(doc)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == (f"error: --out must be writable, got {str(doc)!r}: "
+                   "No such file or directory\n")
+    assert out == ""
+
+
 def _witness_fields(w):
     return (w.c, *w.sep_diag, w.feasible, w.boundary_degenerate)
 
