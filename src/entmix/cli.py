@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 parameter validation error, 3 numeric failure,
 4 statistical self-test failure.  All output is deterministic given the
 flags (plus the seed for ``simulate``); numeric fields carry 12 significant
-digits; fig2 and fig3 are set ``_BLOCK_CELLS`` cells (fig2: rows) at a time in one block
-buffer per document, which ``csvtext`` reuses for every block and writes in pieces.
+digits, and a JSON document writes a non-finite float as null.  fig2 and fig3 are set
+``_BLOCK_CELLS`` cells (fig2: rows) at a time in the one block of ``csvtext.writer``,
+which each document reuses for every block and writes in pieces; each field of a line
+(each of fig3's flags a 1-byte one) is followed by the "," or newline set once.
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ from .states import PrepParams, _real
 # working memory stays bounded whatever the size of the document
 _BLOCK_CELLS = 1 << 13
 
-_FIG2_COLUMNS = {   # fig2's curves, in column order, and their CSV headers
-    "max": "EF_max_numeric",
-    "asymptotic": "EF_asymptotic",
-    "bell": "EF_bell",
-    "a0.1": "EF_a0.1",
+# fig2's curves in column order: each one's CSV header, and its E_F on a block of S.  Bell
+# pairs are the optimum from S = 1/2 on; below it, (S - 1/2) + S/2 is (3S - 1)/2 with one
+# rounding, where fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
+_FIG2_COLUMNS = {
+    "max": ("EF_max_numeric", lambda s: ef_from_concurrence(max_concurrence(s))),
+    "asymptotic": ("EF_asymptotic", ef_max_asymptotic),
+    "bell": ("EF_bell", lambda s: ef_from_concurrence(
+        np.where(s < 0.5, np.clip((s - 0.5) + s / 2.0, 0.0, None), max_concurrence(s)))),
+    "a0.1": ("EF_a0.1", lambda s: ef_from_concurrence(np.clip(concurrence_raw(0.1, s), 0.0, None))),
 }
 _FIG2_CURVES = ",".join(_FIG2_COLUMNS)
 
@@ -60,8 +66,8 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float(format(obj, ".12g"))
+    if isinstance(obj, float):   # strict JSON has no NaN or Infinity: a non-finite float is null
+        return float(format(obj, ".12g")) if math.isfinite(obj) else None
     return obj
 
 
@@ -84,7 +90,7 @@ def _emit_json(command: str, params: dict, out: str | None, payload: dict) -> No
     doc = {"version": __version__, "config": {"command": command, **params}}
     doc.update(payload)
     with _sink(out) as fh:
-        fh.write(json.dumps(_round12(doc), indent=2) + "\n")
+        fh.write(json.dumps(_round12(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_state(args) -> int:
@@ -110,42 +116,36 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    from .csvtext import fig2_writer   # only here and in fig3, so no other command loads it
+    from .csvtext import text12, writer   # only here and in fig3, so no other command loads it
     step = _real("--s-step", args.s_step, 0, 1, "()")
-    try:   # 1/step overflows below 5.6e-309, and numpy sizes no grid past an intp
-        n = round(1.0 / step)
-        s_grid = np.linspace(step, 1.0, n)
-    except (OverflowError, ValueError, MemoryError):
-        raise ValueError("--s-step must be large enough that its S grid fits in memory, "
-                         f"got {args.s_step!r}") from None
-    if abs(n * step - 1.0) > 1e-9:
-        raise ValueError(f"--s-step must divide 1 evenly, got {args.s_step}")
     curves = [c.strip() for c in args.curves.split(",") if c.strip()]
     if not curves or not set(curves) <= _FIG2_COLUMNS.keys():
         raise ValueError(f"--curves must be a subset of {_FIG2_CURVES}, got {args.curves!r}")
-    curves = [c for c in _FIG2_COLUMNS if c in curves]
+    columns = [column for c, column in _FIG2_COLUMNS.items() if c in curves]
+    try:   # 1/step overflows below 5.6e-309, and numpy sizes no grid past an intp
+        n = round(1.0 / step)
+        s_grid = np.linspace(step, 1.0, n) if abs(n * step - 1.0) <= 1e-9 else None
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError("--s-step must be large enough that its S grid fits in memory, "
+                         f"got {args.s_step!r}") from None
+    if s_grid is None:
+        raise ValueError(f"--s-step must divide 1 evenly, got {args.s_step}")
     with _sink(args.out) as fh:
-        fh.write(",".join(["S"] + [_FIG2_COLUMNS[c] for c in curves]) + "\n")
-        write = fig2_writer(fh, min(n, _BLOCK_CELLS), 1 + len(curves))
+        fh.write(",".join(["S"] + [header for header, _ in columns]) + "\n")
+        block, write = writer(fh, min(n, _BLOCK_CELLS), [24] * (1 + len(columns)))
         for i in range(0, n, _BLOCK_CELLS):   # every curve is elementwise in S
             s_vals = s_grid[i:i + _BLOCK_CELLS]
-            c_max = max_concurrence(s_vals)
-            # Bell pairs are the optimum from S = 1/2 on.  Below it, (S - 1/2) + S/2 is
-            # (3S - 1)/2 with one rounding; fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
-            c_bell = np.where(s_vals < 0.5, np.clip((s_vals - 0.5) + s_vals / 2.0, 0.0, None),
-                              c_max)
-            values = {
-                "max": ef_from_concurrence(c_max),
-                "asymptotic": ef_max_asymptotic(s_vals),
-                "bell": ef_from_concurrence(c_bell),
-                "a0.1": ef_from_concurrence(np.clip(concurrence_raw(0.1, s_vals), 0.0, None)),
-            }
-            write([s_vals] + [values[c] for c in curves])
+            # held until the next block's are made, so glibc reuses its heap, not trims it
+            fields = [s_vals] + [curve(s_vals) for _, curve in columns]
+            lines = block[:len(s_vals)]
+            for k, v in enumerate(fields):
+                lines[f"f{k}"] = text12(v)
+            write(lines)
     return 0
 
 
 def _cmd_fig3(args) -> int:
-    from .csvtext import axis_text, fig3_writer
+    from .csvtext import axis_text, text12, writer
     a_vals, s_vals = _grid_axes(args.a_points, args.s_points)   # validates before --out is opened
     try:
         s_text = axis_text(s_vals, _BLOCK_CELLS)
@@ -155,13 +155,22 @@ def _cmd_fig3(args) -> int:
     rows, cols = max(1, _BLOCK_CELLS // len(s_vals)), min(len(s_vals), _BLOCK_CELLS)
     with _sink(args.out) as fh:
         fh.write("a,S,EF,entangled,chsh,lhvt\n")
-        write = fig3_writer(fh, s_text, min(rows, len(a_vals)), cols)
+        block, write = writer(fh, (min(rows, len(a_vals)), cols), (17, 17, 24, 1, 1, 1))
+        block["f1"] = s_text[:cols]   # each block's, unless rows are split into blocks of columns
         for i in range(0, len(a_vals), rows):   # a block of rows, or of one row's columns
             a_block = a_vals[i:i + rows]
             for j in range(0, len(s_vals), cols):
                 # held until the next block's are made, so glibc reuses its heap, not trims it
                 ef, entangled, chsh, lhvt = _classify(a_block[:, None], s_vals[None, j:j + cols])
-                write(a_block, j, ef, entangled, chsh, lhvt)
+                cells = block[:len(a_block), :ef.shape[1]]
+                if cols < len(s_vals):
+                    cells["f1"] = s_text[j:j + cols]
+                cells["f0"] = axis_text(a_block, len(a_block))[:, None]
+                cells["f2"] = b"0"   # a separable cell's EF, whatever the last block held
+                cells["f2"][entangled] = text12(ef[entangled])
+                for k, flag in enumerate((entangled, chsh, lhvt), 3):   # b"0" | a bool's byte
+                    np.bitwise_or(flag.view(np.uint8), 48, out=cells[f"f{k}"].view(np.uint8))
+                write(cells)
     return 0
 
 

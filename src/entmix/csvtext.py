@@ -3,10 +3,6 @@ in one buffer it reuses, and written in pieces less their NULs."""
 
 import numpy as np
 
-# fig3's flags, and the EF 0 of a cell that is not entangled, by entangled<<2 | chsh<<1 | lhvt
-_FIG3_FLAGS = np.array([f",1,{c},{h}\n" if e else f"0,0,{c},{h}\n"
-                        for e in (0, 1) for c in (0, 1) for h in (0, 1)], "S8")
-
 
 def _float_tables():
     # 1e-33 <= x < 10 prints as 24 bytes: row (e + 33) * 12 + kept - 1 of table (exponent e,
@@ -59,47 +55,26 @@ def text12(x):
 
 
 def axis_text(values, chunk):
-    """Each value's text and a comma, NUL-padded to 18 bytes, made ``chunk`` values at a time."""
-    text = np.empty(len(values), "S18")
+    """Each value's text, NUL-padded to 17 bytes, made ``chunk`` values at a time."""
+    text = np.empty(len(values), "S17")
     for i in range(0, len(values), chunk):
         part = values[i:i + chunk].tolist()
-        text[i:i + len(part)] = [format(v, ".12g") + "," for v in part]
+        text[i:i + len(part)] = [format(v, ".12g") for v in part]
     return text
 
 
-def _write(fh, block):
-    """Write a block's text to fh less its NULs, _PIECE_BYTES at a time, never as one string."""
-    raw = block.reshape(-1).view(np.uint8)
-    for i in range(0, len(raw), _PIECE_BYTES):
-        fh.write(raw[i:i + _PIECE_BYTES].tobytes().translate(None, b"\0").decode("ascii"))
+def writer(fh, shape, widths):
+    """A document's block of ``shape`` lines, each of fields f0, f1, ... ``widths`` bytes wide,
+    and its write(cells).  The "," after each field, and the line's newline after the last,
+    are set here once; write(cells) writes a part of the block to fh less its NULs,
+    _PIECE_BYTES at a time, never as one string."""
+    block = np.empty(shape, [field for k, w in enumerate(widths)
+                             for field in ((f"f{k}", f"S{w}"), (f"end{k}", "S1"))])
+    for k in range(len(widths)):
+        block[f"end{k}"] = b"," if k + 1 < len(widths) else b"\n"
 
-
-def fig2_writer(fh, rows, width):
-    """fig2's write(columns): the lines of up to ``rows`` rows, from ``width`` float columns."""
-    block = np.empty((rows, width), [("text", "S24"), ("end", "S1")])
-    block["end"] = [b","] * (width - 1) + [b"\n"]
-
-    def write(columns):
-        lines = block[:len(columns[0])]
-        for k, v in enumerate(columns):
-            lines["text"][:, k] = text12(v)
-        _write(fh, lines)
-    return write
-
-
-def fig3_writer(fh, s_text, rows, cols):
-    """fig3's write(a, j, *_classify's results): the lines of up to ``rows`` rows of a by
-    ``cols`` columns of S from column j; s_text is axis_text of all of S."""
-    block = np.empty((rows, cols), [("a", "S18"), ("s", "S18"), ("ef", "S24"), ("flags", "S8")])
-    block["s"] = s_text[:cols]   # each block's, unless rows are split into blocks of columns
-
-    def write(a, j, ef, entangled, chsh, lhvt):
-        cells = block[:len(a), :ef.shape[1]]
-        if cols < len(s_text):
-            cells["s"] = s_text[j:j + cols]
-        cells["a"] = axis_text(a, len(a))[:, None]
-        cells["ef"] = b""   # a separable cell's EF is empty, whatever the last block held
-        cells["ef"][entangled] = text12(ef[entangled])
-        cells["flags"] = _FIG3_FLAGS.take(entangled * 4 + chsh * 2 + lhvt)
-        _write(fh, cells)
-    return write
+    def write(cells):
+        raw = cells.reshape(-1).view(np.uint8)
+        for i in range(0, len(raw), _PIECE_BYTES):
+            fh.write(raw[i:i + _PIECE_BYTES].tobytes().translate(None, b"\0").decode("ascii"))
+    return block, write

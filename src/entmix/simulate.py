@@ -88,7 +88,7 @@ class SimReport:
 
     ``freq``, ``pred`` and ``sigma`` are (9, 4) arrays over (setting, outcome);
     sigma is |freq - pred| in binomial standard errors (0 where a deterministic
-    prediction is met, inf where it is missed).
+    prediction is met, inf where it is missed, which a JSON document writes as null).
     """
 
     model: str

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -107,7 +108,8 @@ def test_bounds_documents_are_byte_identical(capsys, flag, a, survival, survival
     assert out == want
 
 
-# whole state documents, as written at version 0.1.0; (0.3, 1.0) delivers a rank-one state
+# whole state documents, as written at version 0.1.0 but for the NaN sep_diag of the witness's
+# degenerate point (a = 1/sqrt 2, s = 5/12), now null; (0.3, 1.0) delivers a rank-one state
 STATE_DOCUMENTS = [("0.6", "0.5"), ("0.707106781186547", "0.4166666666666667"), ("0", "0.2"),
                    ("0.3", "1.0"), ("1e-6", "0.5")]
 
@@ -120,6 +122,18 @@ def test_state_documents_are_byte_identical(capsys, a, s):
     rc, out = run_cli(capsys, "state", "--a", a, "--s", s)
     assert rc == 0
     assert out == want
+
+
+def test_json_documents_write_non_finite_floats_as_null(tmp_path):
+    # a simulate report's missed deterministic prediction (sigma inf) and the degenerate
+    # witness's sep_diag (NaN) are null, so strict (RFC 8259) parsers read every document
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    out_file = tmp_path / "doc.json"
+    cli._emit_json("x", {}, str(out_file), {"v": [math.inf, -math.inf, math.nan, 0.1 + 0.2]})
+    doc = json.loads(out_file.read_text(), parse_constant=reject)
+    assert doc["v"] == [None, None, None, 0.3]
 
 
 # bounds --eisert documents as written at version 0.1.0: n, s, ef_max, lower_bound
@@ -201,11 +215,19 @@ def test_fig2_small_grid(capsys):
     assert all(v == 0.0 for s, v in zip(s_vals, bell_vals) if s <= 1 / 3)
 
 
-def test_fig2_curve_subset(capsys):
-    rc, out = run_cli(capsys, "fig2", "--s-step", "0.5", "--curves", "bell,max")
+@pytest.mark.parametrize("curves", ["bell,max", "a0.1", "asymptotic,a0.1", "a0.1,bell,asymptotic"])
+def test_fig2_curve_subset(capsys, monkeypatch, curves):
+    # a subset is the full document's S column and its curves' columns, in the full document's
+    # order, byte for byte; 97-row blocks leave a last block of 30 rows
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 97)
+    _, full = run_cli(capsys, "fig2", "--s-step", "1e-3")
+    rc, out = run_cli(capsys, "fig2", "--s-step", "1e-3", "--curves", curves)
     assert rc == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "S,EF_max_numeric,EF_bell"
+    keep = [0] + [k for k, c in enumerate(["max", "asymptotic", "bell", "a0.1"], 1)
+                  if c in curves.split(",")]
+    want = "".join(",".join(line.split(",")[k] for k in keep) + "\n"
+                   for line in full.splitlines())
+    assert out == want
 
 
 def test_fig2_bell_column_is_exact(capsys):

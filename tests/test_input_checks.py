@@ -226,6 +226,28 @@ def test_fig2_grid_without_memory_exits_2_naming_the_flag(capsys, monkeypatch, t
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--s-step", "0.3"], "--s-step must divide 1 evenly, got 0.3"),
+    (["--s-step", "1e-3", "--curves", "nope"],
+     "--curves must be a subset of max,asymptotic,bell,a0.1, got 'nope'")],
+    ids=["s-step", "curves"])
+def test_fig2_checks_every_flag_before_it_builds_the_grid(capsys, monkeypatch, argv, err):
+    # a grid is built only for flags that pass: --s-step 1e-8 --curves nope would otherwise
+    # allocate 800 MB before it exits 2
+    calls = []
+    linspace = np.linspace
+
+    def recorded(*args):
+        calls.append(args)
+        return linspace(*args)
+
+    monkeypatch.setattr(np, "linspace", recorded)
+    rc = cli.main(["fig2", *argv])
+    out, got = capsys.readouterr()
+    assert (rc, out, got) == (2, "", f"error: {err}\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "--a", "0.6", "--s", "0.5"],
     ["fig2"],
