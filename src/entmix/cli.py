@@ -1,12 +1,13 @@
 """Command-line front end: every analysis as a subcommand emitting CSV or JSON.
 
-Exit codes: 0 success, 2 parameter validation error, 3 numeric failure,
-4 statistical self-test failure.  All output is deterministic given the
-flags (plus the seed for ``simulate``); numeric fields carry 12 significant
-digits, and a JSON document writes a non-finite float as null.  fig2 and fig3 are set
-``_BLOCK_CELLS`` cells (fig2: rows) at a time in the one block of ``csvtext.writer``,
-which each document reuses for every block and writes in pieces; each field of a line
-(each of fig3's flags a 1-byte one) is followed by the "," or newline set once.
+Exit codes: 0 success, 1 stdout closed by its reader (nothing is printed), 2 parameter
+validation error or a document that cannot be written, 3 numeric failure, 4 statistical
+self-test failure.  All output is deterministic given the flags (plus the seed for
+``simulate``); numeric fields carry 12 significant digits, and a JSON document writes a
+non-finite float as null.  fig2 and fig3 are set ``_BLOCK_CELLS`` cells (fig2: rows) at a
+time in the one block of ``csvtext.writer``, which each document reuses for every block and
+writes in pieces; each field of a line (each of fig3's flags a 1-byte one) is followed by
+the "," or newline set once.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -48,15 +50,15 @@ from .states import PrepParams, _real
 # working memory stays bounded whatever the size of the document
 _BLOCK_CELLS = 1 << 13
 
-# fig2's curves in column order: each one's CSV header, and its E_F on a block of S.  Bell
-# pairs are the optimum from S = 1/2 on; below it, (S - 1/2) + S/2 is (3S - 1)/2 with one
-# rounding, where fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
+# fig2's curves in column order: each one's CSV header, and its E_F on a block of S given the
+# block's optimal concurrence c.  Bell pairs are the optimum from S = 1/2 on; below it,
+# (S - 1/2) + S/2 is (3S - 1)/2 with one rounding: fl(3S) - 1 loses ~1e-12 relative near S = 1/3.
 _FIG2_COLUMNS = {
-    "max": ("EF_max_numeric", lambda s: ef_from_concurrence(max_concurrence(s))),
-    "asymptotic": ("EF_asymptotic", ef_max_asymptotic),
-    "bell": ("EF_bell", lambda s: ef_from_concurrence(
-        np.where(s < 0.5, np.clip((s - 0.5) + s / 2.0, 0.0, None), max_concurrence(s)))),
-    "a0.1": ("EF_a0.1", lambda s: ef_from_concurrence(np.clip(concurrence_raw(0.1, s), 0.0, None))),
+    "max": ("EF_max_numeric", lambda s, c: ef_from_concurrence(c)),
+    "asymptotic": ("EF_asymptotic", lambda s, c: ef_max_asymptotic(s)),
+    "bell": ("EF_bell", lambda s, c: ef_from_concurrence(
+        np.where(s < 0.5, np.clip((s - 0.5) + s / 2.0, 0.0, None), c))),
+    "a0.1": ("EF_a0.1", lambda s, c: ef_from_concurrence(np.maximum(concurrence_raw(0.1, s), 0.0))),
 }
 _FIG2_CURVES = ",".join(_FIG2_COLUMNS)
 
@@ -73,16 +75,19 @@ def _round12(obj):
 
 @contextmanager
 def _sink(out: str | None):
-    """The document's destination: stdout, or the --out file, open for the with block."""
-    if out is None:
-        yield sys.stdout
-    else:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValueError(f"--out must be writable, got {out!r}: {exc.strerror}") from None
-        with fh:
+    """The document's destination for the with block: stdout or the --out file, flushed."""
+    try:
+        with (nullcontext(sys.stdout) if out is None
+              else open(out, "w", encoding="utf-8", newline="")) as fh:
             yield fh
+            fh.flush()   # a full device fails here, not in the flush at exit
+    except OSError as exc:   # the open, a write, the flush or the close
+        if out is not None:
+            raise ValueError(f"--out must be writable, got {out!r}: {exc.strerror}") from None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # drops stdout's buffer
+        if isinstance(exc, BrokenPipeError):   # closed by its reader: exit 1, and print nothing
+            sys.exit(1)
+        raise ValueError(f"stdout must be writable: {exc.strerror}") from None
 
 
 def _emit_json(command: str, params: dict, out: str | None, payload: dict) -> None:
@@ -135,8 +140,9 @@ def _cmd_fig2(args) -> int:
         block, write = writer(fh, min(n, _BLOCK_CELLS), [24] * (1 + len(columns)))
         for i in range(0, n, _BLOCK_CELLS):   # every curve is elementwise in S
             s_vals = s_grid[i:i + _BLOCK_CELLS]
+            c = max_concurrence(s_vals)
             # held until the next block's are made, so glibc reuses its heap, not trims it
-            fields = [s_vals] + [curve(s_vals) for _, curve in columns]
+            fields = [s_vals] + [curve(s_vals, c) for _, curve in columns]
             lines = block[:len(s_vals)]
             for k, v in enumerate(fields):
                 lines[f"f{k}"] = text12(v)
@@ -236,26 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"entmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)   # every subcommand's --out
+    out.add_argument("--out", help="output file (default: stdout)")
 
-    p_state = sub.add_parser("state", help="mapped state and all derived quantities")
+    p_state = sub.add_parser("state", parents=[out], help="mapped state and all derived quantities")
     p_state.add_argument("--a", type=float, required=True, help="preparation amplitude")
     p_state.add_argument("--s", type=float, required=True, help="delivery success probability")
-    p_state.add_argument("--out", default=None, help="output file (default: stdout)")
     p_state.set_defaults(func=_cmd_state)
 
-    p_fig2 = sub.add_parser("fig2", help="E_F-vs-S curve data (CSV)")
+    p_fig2 = sub.add_parser("fig2", parents=[out], help="E_F-vs-S curve data (CSV)")
     p_fig2.add_argument("--s-step", type=float, default=0.005, dest="s_step")
     p_fig2.add_argument("--curves", default=_FIG2_CURVES, help=f"comma list from: {_FIG2_CURVES}")
-    p_fig2.add_argument("--out", default=None)
     p_fig2.set_defaults(func=_cmd_fig2)
 
-    p_fig3 = sub.add_parser("fig3", help="(a, S) region classification data (CSV)")
+    p_fig3 = sub.add_parser("fig3", parents=[out], help="(a, S) region classification data (CSV)")
     p_fig3.add_argument("--a-points", type=int, default=200, dest="a_points")
     p_fig3.add_argument("--s-points", type=int, default=200, dest="s_points")
-    p_fig3.add_argument("--out", default=None)
     p_fig3.set_defaults(func=_cmd_fig3)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo delivery run vs prediction (JSON)")
+    p_sim = sub.add_parser("simulate", parents=[out],
+                           help="Monte Carlo delivery run vs prediction (JSON)")
     p_sim.add_argument("--model", choices=("bernoulli", "permutation"), required=True)
     p_sim.add_argument("--s", type=float, default=None, help="bernoulli success probability")
     p_sim.add_argument("--n", type=int, default=None, help="permutation customer pairs")
@@ -264,16 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--self-test", action="store_true", dest="self_test",
                        help=f"exit 4 if any cell deviates by more than {SIGMA_THRESHOLD} sigma")
-    p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bounds = sub.add_parser("bounds", help="survival / CHSH thresholds, n E_F(1/n) (JSON)")
+    p_bounds = sub.add_parser("bounds", parents=[out],
+                              help="survival / CHSH thresholds, n E_F(1/n) (JSON)")
     p_bounds.add_argument("--survival", action="store_true")
     p_bounds.add_argument("--chsh", action="store_true")
     p_bounds.add_argument("--eisert", action="store_true")
     p_bounds.add_argument("--a", type=float, default=None)
     p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--out", default=None)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     return parser

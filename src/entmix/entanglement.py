@@ -67,7 +67,7 @@ def concurrence_raw(a, s):
     """Unclamped closed-form concurrence of the mapped prepared state; floats or ndarrays.
 
     Negative values mean the state is separable; they are kept unclamped here
-    because root finders and optimizers need the sign.
+    because the survival bisection needs the sign.
     """
     d1, d2, d3, d4, t = xstate_fields(a, s)
     return _concurrence_of_fields(d2, d3, t)
@@ -140,13 +140,6 @@ def entanglement_of_formation(c: float) -> float:
     return ef_from_concurrence(min(max(c, 0.0), 1.0))
 
 
-def _a_from_w(w: float) -> float:
-    # inverse of w = a sqrt(1-a^2) on a in [0, 1/sqrt(2)], cancellation-free
-    w = min(max(w, 0.0), 0.5)
-    disc = max(1.0 - 4.0 * w * w, 0.0)
-    return math.sqrt(2.0 * w * w / (1.0 + math.sqrt(disc)))
-
-
 def max_concurrence(s):
     """Largest delivered concurrence over all preparations; ``s`` a float or an ndarray.
 
@@ -154,11 +147,11 @@ def max_concurrence(s):
     peaks at w* = s / (2 (1 - s)) below s = 1/2, giving s^2 / (2 (1 - s)),
     and at the edge w* = 1/2 from s = 1/2 on, giving (3 s - 1) / 2.
     """
-    array = isinstance(s, np.ndarray)
+    if not isinstance(s, np.ndarray):
+        return s * s / (2.0 * (1.0 - s)) if s < 0.5 else (3.0 * s - 1.0) / 2.0
     # the cap keeps the unused branch from dividing by zero at s = 1
-    peak = s * s / (2.0 * (1.0 - (np.minimum(s, 0.5) if array else min(s, 0.5))))
-    edge = (3.0 * s - 1.0) / 2.0
-    return np.where(s < 0.5, peak, edge) if array else (peak if s < 0.5 else edge)
+    peak = s * s / (2.0 * (1.0 - np.minimum(s, 0.5)))
+    return np.where(s < 0.5, peak, (3.0 * s - 1.0) / 2.0)
 
 
 def optimize_prep(s: float) -> OptimalPrep:
@@ -172,7 +165,9 @@ def optimize_prep(s: float) -> OptimalPrep:
     s = _real("s", s, 0, 1)
     if s == 0.0:
         return OptimalPrep(s=0.0, a_star=None, c_max=0.0, ef_max=0.0)
-    a_star = _a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5)
+    # fl(1 - s) >= s below s = 1/2, so w <= 1/2 and 1 - 4 w^2 >= 0 in floats too
+    w = s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5
+    a_star = math.sqrt(2.0 * w * w / (1.0 + math.sqrt(1.0 - 4.0 * w * w)))
     c_max = max_concurrence(s)
     # max_concurrence of a checked s lies in [0, 1]: entanglement_of_formation's check and
     # clamps would change nothing
@@ -180,7 +175,7 @@ def optimize_prep(s: float) -> OptimalPrep:
 
 
 def ef_max_asymptotic(s):
-    """Small-s closed form for the best achievable entanglement of formation; broadcasts.
+    """Small-s closed form for the best achievable E_F; broadcasts, and a scalar gives a float.
 
     (s^4 / 4) [log2(1/s) + 1 + 1/(4 ln 2)]; a leading-order expression, only
     meaningful for s well below 1/2.  It is the leading small-C term of E_F at
@@ -193,7 +188,8 @@ def ef_max_asymptotic(s):
     if s.dtype.kind not in "iuf" or not np.all(np.isfinite(s) & (s > 0.0) & (s <= 1.0)):
         raise ValueError(f"success probability s must be in (0, 1], got {s}")
     s = s.astype(float, copy=False)
-    return s**4 / 4.0 * (np.log2(1.0 / s) + 1.0 + 1.0 / (4.0 * math.log(2.0)))
+    ef = s**4 / 4.0 * (np.log2(1.0 / s) + 1.0 + 1.0 / (4.0 * math.log(2.0)))
+    return ef if s.ndim else float(ef)
 
 
 def eisert_lower_bound(n: int) -> float:

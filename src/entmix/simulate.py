@@ -167,9 +167,7 @@ def simulate_pair_state(model: DeliveryModel, a: float, trials: int, seed: int) 
         freq[k] = counts / trials
 
     se = np.sqrt(pred * (1.0 - pred) / trials)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.abs(freq - pred) / se
-    sigma = np.where(se > 0.0, sigma, np.where(freq == pred, 0.0, np.inf))
+    sigma = np.divide(abs(freq - pred), se, out=np.where(freq == pred, 0.0, np.inf), where=se > 0.0)
     return SimReport(
         model=model.kind,
         effective_s=s_eff,

@@ -230,6 +230,18 @@ def test_fig2_curve_subset(capsys, monkeypatch, curves):
     assert out == want
 
 
+def test_fig2_computes_the_optimum_once_per_block(capsys, monkeypatch):
+    # the max and bell curves take the block's one max_concurrence: 1000 rows in 97-row
+    # blocks are 11 blocks
+    calls = []
+    monkeypatch.setattr(cli, "max_concurrence",
+                        lambda s: calls.append(len(s)) or max_concurrence(s))
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 97)
+    rc, _ = run_cli(capsys, "fig2", "--s-step", "1e-3")
+    assert rc == 0
+    assert len(calls) <= 11 and sum(calls) <= 1000
+
+
 def test_fig2_bell_column_is_exact(capsys):
     # reference digits: 50-digit E_F((3S - 1)/2) at the binary S of each row
     rc, out = run_cli(capsys, "fig2", "--s-step", "1e-4", "--curves", "max,bell")
@@ -703,3 +715,35 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert abs(doc["survival"]["threshold"] - 0.48 / 1.48) < 1e-9
+
+
+ON_LINUX = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and os.path.exists("/dev/full")),
+    reason="needs Linux pipes and /dev/full")
+
+
+@ON_LINUX
+def test_stdout_closed_by_its_reader_exits_1_and_prints_nothing():
+    # as in `entmix fig3 | head -n 1`: the reader takes one line of the 2.4 MB document and
+    # closes the pipe; no traceback, and no "Exception ignored" from the flush at exit
+    child = subprocess.Popen([sys.executable, "-X", "dev", "-m", "entmix.cli", "fig3"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"a,S,EF,entangled,chsh,lhvt\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (1, b"")
+
+
+@ON_LINUX
+@pytest.mark.parametrize("argv", [["state", "--a", "0.6", "--s", "0.5"], ["fig3"]],
+                         ids=["state", "fig3"])
+@pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
+def test_full_device_exits_2_with_one_line(argv, to_out):
+    # state's short document fails in the sink's flush, fig3's in a write
+    argv = [sys.executable, "-X", "dev", "-m", "entmix.cli", *argv]
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(argv + ["--out", "/dev/full"] if to_out else argv,
+                             stdout=subprocess.DEVNULL if to_out else full,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
+    where = "--out must be writable, got '/dev/full'" if to_out else "stdout must be writable"
+    assert (run.returncode, run.stderr) == (2, f"error: {where}: No space left on device\n")

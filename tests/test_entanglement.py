@@ -260,6 +260,32 @@ def test_optimizer_reports_ef_of_c_max():
         assert opt.ef_max == entanglement_of_formation(opt.c_max), s
 
 
+def _a_from_w(w):
+    # the inverse of w = a sqrt(1 - a^2) on [0, 1/sqrt(2)] as optimize_prep once wrote it,
+    # with clamps on w and on 1 - 4 w^2
+    w = min(max(w, 0.0), 0.5)
+    disc = max(1.0 - 4.0 * w * w, 0.0)
+    return math.sqrt(2.0 * w * w / (1.0 + math.sqrt(disc)))
+
+
+def test_optimizer_is_bit_identical_to_the_clamped_reference():
+    # fl(1 - s) >= s below s = 1/2 keeps w <= 1/2 and 1 - 4 w^2 >= 0 in floats, so the
+    # clamps change no bit: uniform s, log-uniform s down to 1e-300, s just below 1/2, edges
+    rng = np.random.default_rng(38)
+    s_all = np.concatenate([rng.random(40_000), 10.0 ** rng.uniform(-300, 0, 30_000),
+                            0.5 - 1e-6 * rng.random(30_000)]).tolist()
+    s_all += [5e-324, math.nextafter(0.5, 0), 0.5, 1.0]
+    got, want = [], []
+    for s in s_all:
+        opt = optimize_prep(s)
+        c_max = s * s / (2.0 * (1.0 - min(s, 0.5))) if s < 0.5 else (3.0 * s - 1.0) / 2.0
+        got.append((opt.a_star, opt.c_max, opt.ef_max))
+        want.append((_a_from_w(s / (2.0 * (1.0 - s)) if s < 0.5 else 0.5), c_max,
+                     ef_from_concurrence(c_max)))
+    same = np.all(np.array(got).view(np.uint64) == np.array(want).view(np.uint64), axis=1)
+    assert same.all(), [s for s, ok in zip(s_all, same) if not ok][:5]
+
+
 def test_optimal_prep_is_a_frozen_dataclass():
     opt = optimize_prep(0.3)
     with pytest.raises(dataclasses.FrozenInstanceError):

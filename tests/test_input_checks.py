@@ -278,6 +278,7 @@ SCALAR_RESULTS = {
     "chsh_boundary": (chsh_boundary, float),
     "chsh_boundary_bisect": (chsh_boundary_bisect, float),
     "entanglement_of_formation": (entanglement_of_formation, float),
+    "ef_max_asymptotic": (ef_max_asymptotic, float),
     "optimize_prep.s": (lambda x: optimize_prep(x).s, float),
     "optimize_prep.a_star": (lambda x: optimize_prep(x).a_star, float),
     "optimize_prep.c_max": (lambda x: optimize_prep(x).c_max, float),

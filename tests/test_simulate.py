@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def test_broken_trials_are_uncorrelated_across_sides():
         cov = float(f @ (sa * sb)) - float(f @ sa) * float(f @ sb)
         se = np.sqrt((1 - float(f @ sa) ** 2) * (1 - float(f @ sb) ** 2) / trials)
         assert abs(cov) <= 4 * max(se, 1e-12)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_zero_variance_cells_have_sigma_zero(a):
+    # at a = 0 and a = 1 the delivered state is a product state: every z outcome is certain,
+    # and a certain prediction met is sigma 0, with no division by its zero standard error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = simulate_pair_state(DeliveryModel("bernoulli", s=0.3), a=a, trials=1000, seed=3)
+    certain = (r.pred == 0.0) | (r.pred == 1.0)
+    assert certain.sum() == 12   # all of zz, and half of each of xz, yz, zx and zy
+    assert np.all(r.sigma[certain] == 0.0) and r.max_sigma < 4.0
 
 
 def test_permutation_model_matches_prediction():
